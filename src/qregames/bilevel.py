@@ -14,17 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DecompositionFailure, InnerSolveFailure
-from .game import Game, uniform_strategy, validate_game
+from .game import Game, validate_game
 from .objectives import PerformanceObjective
 from .projections import project_feasible
 from .results import DesignResult
-from .solver import SolverConfig, SolveOutcome, logit_response, response_jacobian, solve_equilibrium
+from .solver import SolverConfig, response_jacobian, solve_equilibrium
 
 # The outer loop needs equilibria resolved well below its own stopping
 # tolerance, otherwise solver noise masks the gradient near stationarity.
 INNER_SOLVER_DEFAULT = SolverConfig(residual_tol=1e-20)
-
-PINV_RCOND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -44,12 +42,13 @@ def implicit_gradient(g: Game, x: np.ndarray, grad_psi_x: np.ndarray) -> np.ndar
 
     For an equilibrium x of g and the performance gradient at x, returns
 
-        -(1/lam) * J_u^T * ((I + (1/lam) J_u C)^+)^T * grad_psi * x^T
+        -(1/lam) * J_u^T * (I + (1/lam) J_u C)^-T * grad_psi * x^T
 
-    where J_u is the softmax Jacobian at the equilibrium and ^+ is the
-    Moore-Penrose pseudoinverse (SVD, relative cutoff 1e-12).  When the inner
-    matrix is nonsingular this is the exact implicit-function-theorem
-    gradient; otherwise it is an approximation.
+    where J_u is the softmax Jacobian at the equilibrium: the exact
+    implicit-function-theorem gradient, computed with one linear solve.  The
+    uniqueness certificate makes the inner matrix nonsingular (see
+    solve_equilibrium); a singular one, possible only for an uncertified
+    game, raises DecompositionFailure.
     """
     grad_psi_x = np.asarray(grad_psi_x, dtype=float)
     m = g.dims.total
@@ -58,30 +57,10 @@ def implicit_gradient(g: Game, x: np.ndarray, grad_psi_x: np.ndarray) -> np.ndar
     J_u = response_jacobian(g, x)
     G = np.eye(m) + (1.0 / g.lam) * J_u @ g.C
     try:
-        G_pinv = np.linalg.pinv(G, rcond=PINV_RCOND)
+        w = J_u.T @ np.linalg.solve(G.T, grad_psi_x)
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailure(str(exc)) from exc
-    w = J_u.T @ (G_pinv.T @ grad_psi_x)
     return (-1.0 / g.lam) * np.outer(w, x)
-
-
-def _solve_inner(g: Game, cfg: SolverConfig, warm: np.ndarray | None) -> SolveOutcome:
-    """Equilibrium solve with retries: warm start, cold start, then a damped
-    fixed-point run to get near the solution before one more attempt."""
-    if warm is not None:
-        outcome = solve_equilibrium(g, cfg, x0=warm)
-        if outcome.converged:
-            return outcome
-    outcome = solve_equilibrium(g, cfg)
-    if outcome.converged:
-        return outcome
-    x = uniform_strategy(g.dims)
-    for _ in range(3000):
-        f = logit_response(g, x)
-        if float(np.abs(x - f).max()) <= 1e-13:
-            break
-        x = 0.5 * (x + f)
-    return solve_equilibrium(g, cfg, x0=x)
 
 
 def run_projected_gradient(
@@ -98,11 +77,15 @@ def run_projected_gradient(
     projects back onto the feasible set.  Stops when consecutive matrices
     differ by at most stop_eps in Frobenius norm.
 
+    Each equilibrium solve starts from the previous equilibrium; if that
+    warm solve does not converge, it is retried once from the uniform
+    strategy.  Raises InnerSolveFailure if the retry does not converge
+    either (or the first, cold, solve does not).
+
     On convergence the final iterate is returned; if the iteration budget
     runs out, the best iterate seen (lowest objective) is returned with
     converged=False.  The history records (iteration, objective, step norm)
-    for every iteration.  Raises InnerSolveFailure if an equilibrium solve
-    fails even after restarts.
+    for every iteration.
     """
     validate_game(g0)
     cfg = cfg or BilevelConfig()
@@ -122,7 +105,11 @@ def run_projected_gradient(
         C = project_feasible(C_next, dims, rho) if first else C_next
         first = False
         current = g0.with_matrix(C)
-        outcome = _solve_inner(current, cfg.inner, warm)
+        outcome = solve_equilibrium(current, cfg.inner, x0=warm)
+        if not outcome.converged and warm is not None:
+            # Gauss-Newton can stall from a warm start that a cold start
+            # gets past (seen in the fair sweep at rho=7).
+            outcome = solve_equilibrium(current, cfg.inner)
         if not outcome.converged:
             raise InnerSolveFailure(
                 f"equilibrium solve unconverged at outer iteration {iteration} "

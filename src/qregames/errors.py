@@ -30,7 +30,8 @@ class EigendecompositionFailure(QreGamesError):
 
 
 class DecompositionFailure(QreGamesError):
-    """SVD used for the pseudoinverse did not converge."""
+    """A linear system that the uniqueness certificate keeps nonsingular is
+    singular: the game is not certified."""
 
 
 class ZeroAreaTotal(QreGamesError):

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -49,12 +51,9 @@ class PlayerDims:
     def total(self) -> int:
         return sum(self.sizes)
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
-        off = [0]
-        for s in self.sizes:
-            off.append(off[-1] + s)
-        return tuple(off)
+        return tuple(accumulate(self.sizes, initial=0))
 
     def block(self, i: int) -> slice:
         off = self.offsets
@@ -145,12 +144,7 @@ class AssumptionReport:
 
 
 def validate_game(g: Game) -> None:
-    """Raise unless all sizes are mutually consistent and lambda > 0."""
-    m = g.dims.total
-    if g.b.shape != (m,):
-        raise DimensionMismatch(f"b has length {g.b.shape[0]}, expected {m}")
-    if g.C.shape != (m, m):
-        raise DimensionMismatch(f"C has shape {g.C.shape}, expected ({m}, {m})")
+    """Raise unless lambda > 0 (Game's constructor already checks the sizes)."""
     if not g.lam > 0:
         raise NonPositiveLambda(f"lambda must be > 0, got {g.lam}")
 

@@ -124,15 +124,17 @@ def solve_equilibrium(
 ) -> SolveOutcome:
     """Minimize ||x - f(u(x))||^2 by Gauss-Newton with Armijo backtracking.
 
-    The step solves the normal equations J^T J s = -J^T r with
-    J = I + (1/lam) * J_u * C, falling back to a least-squares step when the
-    factorization reports singularity.  Accepted iterates are clamped to the
-    positive orthant and renormalized blockwise, which keeps downstream log
-    diagnostics defined.  Starts from the uniform strategy unless x0 is given.
+    The step solves J s = -r with J = I + (1/lam) * J_u * C.  Under the
+    uniqueness certificate J is nonsingular: det(I + AB) = det(I + BA) gives
+    det J = det(I + (1/lam) J_u^1/2 C J_u^1/2), whose symmetric part is
+    at least I.  Accepted iterates are clamped to the positive orthant and
+    renormalized blockwise, which keeps downstream log diagnostics defined.
+    Starts from the uniform strategy unless x0 is given.
 
     Returns the best iterate found; `converged` records whether the squared
     residual reached `residual_tol`.  If the uniqueness certificate fails the
-    solve still runs, but the outcome is flagged `certified=False`.
+    solve still runs, but the outcome is flagged `certified=False`; should J
+    then turn singular, the solve stops there, unconverged.
     """
     validate_game(g)
     cfg = cfg or SolverConfig()
@@ -147,22 +149,24 @@ def solve_equilibrium(
     best_x, best_rsq = x.copy(), rsq
     identity = np.eye(m)
 
+    iterations = cfg.max_iters
     for it in range(cfg.max_iters):
         if rsq <= cfg.residual_tol:
             x, rsq = _polish(g, x, rsq, cfg.residual_tol)
             return SolveOutcome(x=x, residual_sq=rsq, iterations=it, converged=True,
                                 certified=certified)
         J = identity + (1.0 / g.lam) * response_jacobian(g, x) @ g.C
-        grad = J.T @ r
         try:
-            step = np.linalg.solve(J.T @ J, -grad)
+            step = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -r, rcond=None)[0]
+            iterations = it
+            break
 
-        # Armijo backtracking on phi = 0.5 ||r||^2; if no trial passes, take
+        # Armijo backtracking on phi = 0.5 ||r||^2, whose slope along the
+        # Gauss-Newton step is r^T J s = -||r||^2; if no trial passes, take
         # the last (smallest) one anyway so the iteration cannot stall.
         phi0 = 0.5 * rsq
-        slope = float(grad @ step)
+        slope = -rsq
         alpha = 1.0
         for _ in range(cfg.max_backtracks):
             x_try = _renormalize(x + alpha * step, dims)
@@ -181,7 +185,7 @@ def solve_equilibrium(
     return SolveOutcome(
         x=best_x,
         residual_sq=best_rsq,
-        iterations=cfg.max_iters,
+        iterations=iterations,
         converged=converged,
         certified=certified,
     )

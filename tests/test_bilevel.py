@@ -1,8 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import qregames.bilevel
 from qregames import (
     BilevelConfig,
+    DecompositionFailure,
+    Game,
+    InnerSolveFailure,
+    PlayerDims,
     SolverConfig,
     implicit_gradient,
     in_feasible_set,
@@ -12,6 +19,7 @@ from qregames import (
     pure_to_strategy,
     run_projected_gradient,
     solve_equilibrium,
+    uniform_strategy,
 )
 from qregames.experiments import (
     AREA_NAMES,
@@ -75,6 +83,58 @@ class TestImplicitGradient:
         out = solve_equilibrium(g)
         with pytest.raises(ValueError):
             implicit_gradient(g, out.x, np.zeros(3))
+
+    def test_singular_inner_matrix_raises(self):
+        # uncertified (C + C^T = -4I): at x = (1/2, 1/2) the softmax Jacobian
+        # is [[1, -1], [-1, 1]]/4, so I + J_u C = [[1, 1], [1, 1]]/2 exactly
+        g = Game(PlayerDims([2]), 1.0, np.zeros(2), -2.0 * np.eye(2))
+        with pytest.raises(DecompositionFailure):
+            implicit_gradient(g, np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+
+
+def stalling_solver(monkeypatch, stalls):
+    """Patch the design loop's equilibrium solve; `stalls(call_index, x0)`
+    picks the calls that report an unconverged outcome.  Returns the list
+    of warm-start flags, one per call."""
+    warm_flags = []
+
+    def solve(g, cfg=None, x0=None):
+        out = solve_equilibrium(g, cfg, x0=x0)
+        stall = stalls(len(warm_flags), x0)
+        warm_flags.append(x0 is not None)
+        if stall:
+            return dataclasses.replace(out, x=uniform_strategy(g.dims), residual_sq=1.0,
+                                       converged=False)
+        return out
+
+    monkeypatch.setattr(qregames.bilevel, "solve_equilibrium", solve)
+    return warm_flags
+
+
+class TestInnerSolveRetry:
+    def setup_method(self):
+        game, target = build_collision_game()
+        self.game = game
+        self.obj = kl_objective(pure_to_strategy(target, game.dims), game.dims)
+
+    def test_stalled_warm_solve_retried_cold(self, monkeypatch):
+        warm_flags = stalling_solver(monkeypatch, lambda call, x0: call == 1)
+        result = run_projected_gradient(self.game, self.obj, rho=4.0,
+                                        cfg=BilevelConfig(max_outer_iters=5))
+        assert result.outer_iterations == 5
+        assert warm_flags[:3] == [False, True, False]  # cold, stalled warm, cold retry
+        check = solve_equilibrium(self.game.with_matrix(result.C), RESOLVE)
+        assert np.abs(check.x - result.x).max() <= 1e-8
+
+    @pytest.mark.parametrize("healthy_calls, expected_flags", [
+        (0, [False]),  # the first solve has no warm start, so no retry
+        (1, [False, True, False]),  # warm solve and cold retry both stall
+    ])
+    def test_unconverged_solve_raises(self, monkeypatch, healthy_calls, expected_flags):
+        warm_flags = stalling_solver(monkeypatch, lambda call, x0: call >= healthy_calls)
+        with pytest.raises(InnerSolveFailure):
+            run_projected_gradient(self.game, self.obj, rho=4.0)
+        assert warm_flags == expected_flags
 
 
 class TestRunProjectedGradient:

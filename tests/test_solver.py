@@ -140,6 +140,17 @@ class TestSolveEquilibrium:
         out = solve_equilibrium(g)
         assert not out.certified
 
+    def test_singular_jacobian_stops_unconverged(self):
+        # uncertified; at x0 both costs are 0.75, so the response is (1/2, 1/2)
+        # and I + J_u C = [[1, 1], [1, 1]]/2 is exactly singular
+        g = single_player_game([0.5, 0.0], C=-2.0 * np.eye(2))
+        x0 = np.array([0.625, 0.375])
+        out = solve_equilibrium(g, x0=x0)
+        assert not out.converged and not out.certified
+        assert out.iterations == 0
+        assert np.array_equal(out.x, x0)
+        assert out.residual_sq == pytest.approx(2 * 0.125**2)
+
     def test_max_iters_returns_best_unconverged(self, rng):
         g = random_certified_game(rng, [4, 4], lam=0.2, coupling=2.0)
         out = solve_equilibrium(g, SolverConfig(residual_tol=1e-30, max_iters=2))
