@@ -18,7 +18,7 @@ from .game import Game, validate_game
 from .objectives import PerformanceObjective
 from .projections import project_feasible
 from .results import DesignResult
-from .solver import SolverConfig, response_jacobian, solve_equilibrium
+from .solver import SolverConfig, cost_residual_jacobian, solve_equilibrium
 
 # The outer loop needs equilibria resolved well below its own stopping
 # tolerance, otherwise solver noise masks the gradient near stationarity.
@@ -43,21 +43,23 @@ def implicit_gradient(g: Game, x: np.ndarray, grad_psi_x: np.ndarray) -> np.ndar
     For an equilibrium x of g and the performance gradient at x, returns
 
         -(1/lam) * J_u^T * (I + (1/lam) J_u C)^-T * grad_psi * x^T
+      = -(1/lam) * (I + (1/lam) C J_u)^-T * J_u * grad_psi * x^T
 
     where J_u is the softmax Jacobian at the equilibrium: the exact
     implicit-function-theorem gradient, computed with one linear solve.  The
-    uniqueness certificate makes the inner matrix nonsingular (see
-    solve_equilibrium); a singular one, possible only for an uncertified
-    game, raises DecompositionFailure.
+    two forms agree because (I + (1/lam) J_u C)^-1 J_u = J_u (I + (1/lam) C J_u)^-1
+    and J_u is symmetric; the second uses the cost-space residual Jacobian H
+    that solve_equilibrium steps with.  The uniqueness certificate makes H
+    nonsingular (see cost_residual_jacobian); a singular one, possible only
+    for an uncertified game, raises DecompositionFailure.
     """
     grad_psi_x = np.asarray(grad_psi_x, dtype=float)
     m = g.dims.total
     if grad_psi_x.shape != (m,):
         raise ValueError(f"gradient has shape {grad_psi_x.shape}, expected ({m},)")
-    J_u = response_jacobian(g, x)
-    G = np.eye(m) + (1.0 / g.lam) * J_u @ g.C
+    J_u, H = cost_residual_jacobian(g, x)
     try:
-        w = J_u.T @ np.linalg.solve(G.T, grad_psi_x)
+        w = np.linalg.solve(H.T, J_u @ grad_psi_x)
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailure(str(exc)) from exc
     return (-1.0 / g.lam) * np.outer(w, x)
@@ -77,10 +79,9 @@ def run_projected_gradient(
     projects back onto the feasible set.  Stops when consecutive matrices
     differ by at most stop_eps in Frobenius norm.
 
-    Each equilibrium solve starts from the previous equilibrium; if that
-    warm solve does not converge, it is retried once from the uniform
-    strategy.  Raises InnerSolveFailure if the retry does not converge
-    either (or the first, cold, solve does not).
+    Each equilibrium solve starts from the previous equilibrium (the first
+    from the uniform strategy).  Raises InnerSolveFailure if a solve does
+    not converge.
 
     On convergence the final iterate is returned; if the iteration budget
     runs out, the best iterate seen (lowest objective) is returned with
@@ -106,10 +107,6 @@ def run_projected_gradient(
         first = False
         current = g0.with_matrix(C)
         outcome = solve_equilibrium(current, cfg.inner, x0=warm)
-        if not outcome.converged and warm is not None:
-            # Gauss-Newton can stall from a warm start that a cold start
-            # gets past (seen in the fair sweep at rho=7).
-            outcome = solve_equilibrium(current, cfg.inner)
         if not outcome.converged:
             raise InnerSolveFailure(
                 f"equilibrium solve unconverged at outer iteration {iteration} "

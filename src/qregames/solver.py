@@ -2,8 +2,9 @@
 
 An equilibrium is a joint strategy x whose every block equals the softmax
 best response to the costs the other blocks induce.  We find it by driving
-the residual r(x) = x - f(-(b + Cx)/lam) to zero with a Gauss-Newton
-iteration; when the uniqueness certificate holds the zero is unique.
+the cost-space residual R(y) = y - b - C f(-y/lam) to zero with a
+Gauss-Newton iteration over all of R^m; when the uniqueness certificate
+holds the zero is unique, and x = f(-y/lam) is the equilibrium.
 """
 
 from __future__ import annotations
@@ -12,16 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteInput, NonPositiveStrategy
+from .errors import DimensionMismatch, NonFiniteInput, NonPositiveStrategy
 from .game import Game, check_assumption, uniform_strategy, validate_game
-
-# Feasibility floor: keeps log-based diagnostics defined after renormalization.
-ENTRY_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    residual_tol: float = 1e-10  # termination on the squared residual norm
+    residual_tol: float = 1e-10  # bound on both ||x - f(x)||^2 and the cost residual ||R||^2
     max_iters: int = 200
     armijo_c: float = 1e-4
     backtrack_factor: float = 0.5
@@ -75,46 +73,37 @@ def logit_response(g: Game, x: np.ndarray) -> np.ndarray:
     return blockwise_softmax(-cost / g.lam, g.dims)
 
 
-def response_jacobian(g: Game, x: np.ndarray) -> np.ndarray:
-    """Jacobian of the softmax with respect to its argument u = -(b + Cx)/lam.
-
-    Block-diagonal with blocks diag(p_i) - p_i p_i^T where p = f(u); each
-    block is symmetric PSD with zero row sums.  Callers compose the residual
-    Jacobian as I + (1/lam) * J_u * C.
-    """
-    p = logit_response(g, x)
-    m = g.dims.total
+def _softmax_jacobian(p: np.ndarray, dims) -> np.ndarray:
+    """Block-diagonal softmax Jacobian with blocks diag(p_i) - p_i p_i^T."""
+    m = dims.total
     J = np.zeros((m, m))
-    for i in range(g.dims.n):
-        blk = g.dims.block(i)
+    for i in range(dims.n):
+        blk = dims.block(i)
         pi = p[blk]
         J[blk, blk] = np.diag(pi) - np.outer(pi, pi)
     return J
 
 
-def _renormalize(x: np.ndarray, dims) -> np.ndarray:
-    x = np.maximum(x, ENTRY_FLOOR)
-    for i in range(dims.n):
-        blk = dims.block(i)
-        x[blk] /= x[blk].sum()
-    return x
+def response_jacobian(g: Game, x: np.ndarray) -> np.ndarray:
+    """Jacobian of the softmax with respect to its argument u = -(b + Cx)/lam.
 
-
-def _polish(g: Game, x: np.ndarray, rsq: float, tol: float) -> tuple[np.ndarray, float]:
-    """One response-map application after convergence.
-
-    Gauss-Newton controls the absolute residual, which leaves exponentially
-    small strategy entries relatively wrong (they sit near the clamp floor
-    rather than at their softmax values), spoiling log-based diagnostics.
-    Re-evaluating the response once fixes every entry's log to the accuracy
-    of the large entries.  Kept only if the residual stays converged.
+    Block-diagonal with blocks diag(p_i) - p_i p_i^T where p = f(u); each
+    block is symmetric PSD with zero row sums.
     """
-    polished = logit_response(g, x)
-    r = polished - logit_response(g, polished)
-    rsq_polished = float(r @ r)
-    if rsq_polished <= tol:
-        return polished, rsq_polished
-    return x, rsq
+    return _softmax_jacobian(logit_response(g, x), g.dims)
+
+
+def cost_residual_jacobian(g: Game, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax Jacobian J_u at the strategy x, and H = I + (1/lam) C J_u.
+
+    H is the Jacobian of the cost-space residual R(y) = y - b - C f(-y/lam)
+    at the cost y with f(-y/lam) = x.  Under the uniqueness certificate H is
+    nonsingular: det(I + AB) = det(I + BA) gives
+    det H = det(I + (1/lam) J_u C) = det(I + (1/lam) J_u^1/2 C J_u^1/2),
+    and the last matrix's symmetric part is at least I.
+    """
+    J_u = _softmax_jacobian(x, g.dims)
+    return J_u, np.eye(g.dims.total) + (1.0 / g.lam) * (g.C @ J_u)
 
 
 def solve_equilibrium(
@@ -122,73 +111,70 @@ def solve_equilibrium(
     cfg: SolverConfig | None = None,
     x0: np.ndarray | None = None,
 ) -> SolveOutcome:
-    """Minimize ||x - f(u(x))||^2 by Gauss-Newton with Armijo backtracking.
+    """Gauss-Newton with Armijo backtracking on the perceived cost.
 
-    The step solves J s = -r with J = I + (1/lam) * J_u * C.  Under the
-    uniqueness certificate J is nonsingular: det(I + AB) = det(I + BA) gives
-    det J = det(I + (1/lam) J_u^1/2 C J_u^1/2), whose symmetric part is
-    at least I.  Accepted iterates are clamped to the positive orthant and
-    renormalized blockwise, which keeps downstream log diagnostics defined.
-    Starts from the uniform strategy unless x0 is given.
+    The unknown is the cost vector y in R^m, unconstrained: the strategy
+    x = f(-y/lam) has its blocks on the simplex for every y, and the
+    residual R(y) = y - b - Cx vanishes exactly at an equilibrium.  The step
+    solves H s = -R (see cost_residual_jacobian) and the line search
+    backtracks on 0.5 ||R||^2.  Starts from y = b + C x0, with x0 the
+    uniform strategy unless given.
 
-    Returns the best iterate found; `converged` records whether the squared
-    residual reached `residual_tol`.  If the uniqueness certificate fails the
-    solve still runs, but the outcome is flagged `certified=False`; should J
-    then turn singular, the solve stops there, unconverged.
+    Converged means both ||x - f(x)||^2 and ||R||^2 are at most
+    `residual_tol`; `residual_sq` reports the first.  The second is the
+    first-order condition: b + Cx + lam ln x equals -R plus a constant per
+    block, so it bounds the error of log x even in exponentially small
+    entries.  Returns the last iterate.  If the uniqueness certificate fails
+    the solve still runs, but the outcome is flagged `certified=False`;
+    should H then turn singular, the solve stops there, unconverged.
     """
     validate_game(g)
     cfg = cfg or SolverConfig()
     certified = check_assumption(g).passed
     dims = g.dims
-    m = dims.total
+    x = uniform_strategy(dims) if x0 is None else np.asarray(x0, dtype=float)
+    if x.shape != (dims.total,):
+        raise DimensionMismatch(f"x0 has shape {x.shape}, expected ({dims.total},)")
 
-    x = uniform_strategy(dims) if x0 is None else _renormalize(np.array(x0, dtype=float), dims)
-    f = logit_response(g, x)
-    r = x - f
-    rsq = float(r @ r)
-    best_x, best_rsq = x.copy(), rsq
-    identity = np.eye(m)
+    def at(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        p = blockwise_softmax(-y / g.lam, dims)
+        R = y - perceived_cost(g, p)
+        return p, R, float(R @ R)
 
-    iterations = cfg.max_iters
+    def outcome(p: np.ndarray, Rsq: float, iterations: int) -> SolveOutcome:
+        r = p - logit_response(g, p)
+        rsq = float(r @ r)
+        return SolveOutcome(x=p, residual_sq=rsq, iterations=iterations,
+                            converged=max(rsq, Rsq) <= cfg.residual_tol, certified=certified)
+
+    y = perceived_cost(g, x)
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteInput("starting cost b + C x0 is not finite")
+    x, R, Rsq = at(y)
     for it in range(cfg.max_iters):
-        if rsq <= cfg.residual_tol:
-            x, rsq = _polish(g, x, rsq, cfg.residual_tol)
-            return SolveOutcome(x=x, residual_sq=rsq, iterations=it, converged=True,
-                                certified=certified)
-        J = identity + (1.0 / g.lam) * response_jacobian(g, x) @ g.C
+        if Rsq <= cfg.residual_tol:
+            out = outcome(x, Rsq, it)
+            if out.converged:
+                return out
         try:
-            step = np.linalg.solve(J, -r)
+            step = np.linalg.solve(cost_residual_jacobian(g, x)[1], -R)
         except np.linalg.LinAlgError:
-            iterations = it
-            break
+            return outcome(x, Rsq, it)
 
-        # Armijo backtracking on phi = 0.5 ||r||^2, whose slope along the
-        # Gauss-Newton step is r^T J s = -||r||^2; if no trial passes, take
+        # Armijo backtracking on phi = 0.5 ||R||^2, whose slope along the
+        # Gauss-Newton step is R^T H s = -||R||^2; if no trial passes, take
         # the last (smallest) one anyway so the iteration cannot stall.
-        phi0 = 0.5 * rsq
-        slope = -rsq
+        phi0 = 0.5 * Rsq
+        slope = -Rsq
         alpha = 1.0
         for _ in range(cfg.max_backtracks):
-            x_try = _renormalize(x + alpha * step, dims)
-            r_try = x_try - logit_response(g, x_try)
-            rsq_try = float(r_try @ r_try)
-            if 0.5 * rsq_try <= phi0 + cfg.armijo_c * alpha * slope:
+            y_try = y + alpha * step
+            x_try, R_try, Rsq_try = at(y_try)
+            if 0.5 * Rsq_try <= phi0 + cfg.armijo_c * alpha * slope:
                 break
             alpha *= cfg.backtrack_factor
-        x, r, rsq = x_try, r_try, rsq_try
-        if rsq < best_rsq:
-            best_x, best_rsq = x.copy(), rsq
-
-    converged = best_rsq <= cfg.residual_tol
-    if converged:  # crossed the tolerance on the final allowed iteration
-        best_x, best_rsq = _polish(g, best_x, best_rsq, cfg.residual_tol)
-    return SolveOutcome(
-        x=best_x,
-        residual_sq=best_rsq,
-        iterations=iterations,
-        converged=converged,
-        certified=certified,
-    )
+        y, x, R, Rsq = y_try, x_try, R_try, Rsq_try
+    return outcome(x, Rsq, cfg.max_iters)
 
 
 def stationarity_residual(g: Game, x: np.ndarray) -> float:

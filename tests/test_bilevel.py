@@ -117,18 +117,9 @@ class TestInnerSolveRetry:
         self.game = game
         self.obj = kl_objective(pure_to_strategy(target, game.dims), game.dims)
 
-    def test_stalled_warm_solve_retried_cold(self, monkeypatch):
-        warm_flags = stalling_solver(monkeypatch, lambda call, x0: call == 1)
-        result = run_projected_gradient(self.game, self.obj, rho=4.0,
-                                        cfg=BilevelConfig(max_outer_iters=5))
-        assert result.outer_iterations == 5
-        assert warm_flags[:3] == [False, True, False]  # cold, stalled warm, cold retry
-        check = solve_equilibrium(self.game.with_matrix(result.C), RESOLVE)
-        assert np.abs(check.x - result.x).max() <= 1e-8
-
     @pytest.mark.parametrize("healthy_calls, expected_flags", [
-        (0, [False]),  # the first solve has no warm start, so no retry
-        (1, [False, True, False]),  # warm solve and cold retry both stall
+        (0, [False]),  # the first, cold, solve stalls
+        (1, [False, True]),  # the first warm solve stalls
     ])
     def test_unconverged_solve_raises(self, monkeypatch, healthy_calls, expected_flags):
         warm_flags = stalling_solver(monkeypatch, lambda call, x0: call >= healthy_calls)

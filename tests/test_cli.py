@@ -48,9 +48,14 @@ class TestSolveCommand:
         assert main(["solve", "--game", collision_path, "--lambda", "-1"]) == 2
         assert capsys.readouterr().err.startswith("error:InvalidInput:")
 
-    def test_nonconvergence_exit_code(self, collision_path, tmp_path):
+    def test_nonconvergence_exit_code(self, tmp_path):
+        # coupled, so no Gauss-Newton step lands exactly on the equilibrium
+        game, _ = build_collision_game()
+        m = game.dims.total
+        path = tmp_path / "coupled.json"
+        save_game(game.with_matrix(np.eye(m) + 0.5 * np.ones((m, m))), path)
         out = tmp_path / "s.json"
-        code = main(["solve", "--game", collision_path, "--residual-tol", "1e-300",
+        code = main(["solve", "--game", str(path), "--residual-tol", "1e-300",
                      "--max-iters", "3", "--out", str(out)])
         assert code == 3
         assert json.loads(out.read_text())["converged"] is False  # artifact still written

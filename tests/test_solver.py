@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qregames import (
+    DimensionMismatch,
     Game,
     NonFiniteInput,
     NonPositiveStrategy,
@@ -141,15 +142,38 @@ class TestSolveEquilibrium:
         assert not out.certified
 
     def test_singular_jacobian_stops_unconverged(self):
-        # uncertified; at x0 both costs are 0.75, so the response is (1/2, 1/2)
-        # and I + J_u C = [[1, 1], [1, 1]]/2 is exactly singular
+        # uncertified; at x0 both costs are 0.75, so the first iterate is the
+        # response (1/2, 1/2), where I + C J_u = [[1, 1], [1, 1]]/2 is exactly
+        # singular; its own response is softmax(1/2, 1)
         g = single_player_game([0.5, 0.0], C=-2.0 * np.eye(2))
-        x0 = np.array([0.625, 0.375])
-        out = solve_equilibrium(g, x0=x0)
+        out = solve_equilibrium(g, x0=np.array([0.625, 0.375]))
         assert not out.converged and not out.certified
         assert out.iterations == 0
-        assert np.array_equal(out.x, x0)
-        assert out.residual_sq == pytest.approx(2 * 0.125**2)
+        assert np.array_equal(out.x, [0.5, 0.5])
+        assert out.residual_sq == pytest.approx(2 * (0.5 - 1.0 / (1.0 + np.exp(0.5))) ** 2)
+
+    def test_strongly_coupled_game_converges(self):
+        # coupling/lambda ~ 130: Gauss-Newton on the strategy, clamped to the
+        # simplex, stalls here at residual_sq 0.77
+        g = random_certified_game(np.random.default_rng(25), [3, 3, 3, 3], 0.06, 8.0)
+        out = solve_equilibrium(g)
+        assert out.converged and out.residual_sq <= 1e-10
+
+    def test_saturated_warm_start_converges(self):
+        # near-pure warm start, as the design loop passes on: the solve must
+        # reach the design loop's inner tolerance, as the cold solve does
+        g = random_certified_game(np.random.default_rng(3), [3, 3, 3, 3], lam=0.05, coupling=10.0)
+        cfg = SolverConfig(residual_tol=1e-20)
+        x0 = np.tile([1.0 - 1e-8, 5e-9, 5e-9], 4)
+        warm = solve_equilibrium(g, cfg, x0=x0)
+        assert warm.converged and warm.residual_sq <= 1e-20
+        cold = solve_equilibrium(g, cfg)
+        assert np.abs(warm.x - cold.x).max() <= 1e-9
+
+    def test_wrong_length_start_raises(self):
+        g = single_player_game([0.0, 0.0, 0.0])
+        with pytest.raises(DimensionMismatch):
+            solve_equilibrium(g, x0=np.array([0.5, 0.5]))
 
     def test_max_iters_returns_best_unconverged(self, rng):
         g = random_certified_game(rng, [4, 4], lam=0.2, coupling=2.0)
