@@ -49,17 +49,20 @@ def implicit_gradient(g: Game, x: np.ndarray, grad_psi_x: np.ndarray) -> np.ndar
     implicit-function-theorem gradient, computed with one linear solve.  The
     two forms agree because (I + (1/lam) J_u C)^-1 J_u = J_u (I + (1/lam) C J_u)^-1
     and J_u is symmetric; the second uses the cost-space residual Jacobian H
-    that solve_equilibrium steps with.  The uniqueness certificate makes H
-    nonsingular (see cost_residual_jacobian); a singular one, possible only
-    for an uncertified game, raises DecompositionFailure.
+    that solve_equilibrium steps with.  J_u is never formed: with
+    v = grad_psi, block i of J_u v is x_i * (v_i - x_i^T v_i).  The
+    uniqueness certificate makes H nonsingular (see cost_residual_jacobian);
+    a singular one, possible only for an uncertified game, raises
+    DecompositionFailure.
     """
+    x = np.asarray(x, dtype=float)
     grad_psi_x = np.asarray(grad_psi_x, dtype=float)
-    m = g.dims.total
-    if grad_psi_x.shape != (m,):
-        raise ValueError(f"gradient has shape {grad_psi_x.shape}, expected ({m},)")
-    J_u, H = cost_residual_jacobian(g, x)
+    dims = g.dims
+    if grad_psi_x.shape != (dims.total,):
+        raise ValueError(f"gradient has shape {grad_psi_x.shape}, expected ({dims.total},)")
+    Ju_v = x * (grad_psi_x - np.add.reduceat(x * grad_psi_x, dims.starts)[dims.owner])
     try:
-        w = np.linalg.solve(H.T, J_u @ grad_psi_x)
+        w = np.linalg.solve(cost_residual_jacobian(g, x).T, Ju_v)
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailure(str(exc)) from exc
     return (-1.0 / g.lam) * np.outer(w, x)

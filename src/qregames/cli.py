@@ -101,7 +101,11 @@ def _cmd_solve(args) -> int:
         "iterations": outcome.iterations,
         "converged": outcome.converged,
         "certified": outcome.certified,
-        "stationarity_residual": stationarity_residual(game, outcome.x),
+        # ln 0 is undefined: an entry that underflowed to exactly 0.0 (a
+        # choice exponentially far from the best) has no stationarity figure.
+        "stationarity_residual": (
+            stationarity_residual(game, outcome.x) if np.all(outcome.x > 0) else None
+        ),
         "seed": args.seed,
     }
     _write_json(payload, args.out)
@@ -169,7 +173,7 @@ def _cmd_design_bilevel(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cost = np.array(_parse_floats(args.cost, "--cost"))
-    if args.lam <= 0:
+    if not args.lam > 0:
         raise InvalidInput("--lambda must be > 0")
     if args.samples < 1:
         raise InvalidInput("--samples must be >= 1")

@@ -31,9 +31,14 @@ ASSUMPTION_TOL = 1e-9
 SIMPLEX_TOL = 1e-12
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class PlayerDims:
-    """Actions per player, with precomputed block offsets."""
+    """Actions per player, with block offsets and index arrays computed once."""
 
     sizes: tuple[int, ...]
 
@@ -54,6 +59,16 @@ class PlayerDims:
     @cached_property
     def offsets(self) -> tuple[int, ...]:
         return tuple(accumulate(self.sizes, initial=0))
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """First flat index of each block, for `np.ufunc.reduceat` (read-only)."""
+        return _read_only(np.array(self.offsets[:-1], dtype=np.intp))
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """Player (0-based) of each flat action index (read-only)."""
+        return _read_only(np.repeat(np.arange(self.n, dtype=np.intp), self.sizes))
 
     def block(self, i: int) -> slice:
         off = self.offsets
@@ -79,8 +94,7 @@ def _frozen_array(a, shape, what: str) -> np.ndarray:
     arr = np.array(a, dtype=float)
     if arr.shape != shape:
         raise DimensionMismatch(f"{what} has shape {arr.shape}, expected {shape}")
-    arr.setflags(write=False)
-    return arr
+    return _read_only(arr)
 
 
 @dataclass(frozen=True)

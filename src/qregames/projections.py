@@ -34,10 +34,7 @@ def project_cone_sum(C: np.ndarray, dims: PlayerDims) -> np.ndarray:
     C = np.asarray(C, dtype=float)
     sym = 0.5 * (C + C.T)
     skew = 0.5 * (C - C.T)
-    skew = skew.copy()
-    for i in range(dims.n):
-        blk = dims.block(i)
-        skew[blk, blk] = 0.0
+    skew[dims.owner[:, None] == dims.owner[None, :]] = 0.0
     return project_psd(sym) + skew
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput, NonPositiveStrategy
+from .errors import DimensionMismatch, NonFiniteInput, NonPositiveLambda, NonPositiveStrategy
 from .game import Game, check_assumption, uniform_strategy, validate_game
 
 
@@ -47,14 +47,11 @@ def blockwise_softmax(u: np.ndarray, dims) -> np.ndarray:
     """Softmax per player block, stabilized by subtracting the block max.
 
     Without the shift, temperatures like 0.1 against costs of a few units
-    produce exponents near -30 that underflow asymmetrically.
+    produce exponents near -30 that underflow asymmetrically.  All blocks
+    are reduced at once over `dims.starts` and spread back by `dims.owner`.
     """
-    out = np.empty_like(u)
-    for i in range(dims.n):
-        z = u[dims.block(i)]
-        e = np.exp(z - z.max())
-        out[dims.block(i)] = e / e.sum()
-    return out
+    e = np.exp(u - np.maximum.reduceat(u, dims.starts)[dims.owner])
+    return e / np.add.reduceat(e, dims.starts)[dims.owner]
 
 
 def perceived_cost(g: Game, x: np.ndarray) -> np.ndarray:
@@ -73,37 +70,44 @@ def logit_response(g: Game, x: np.ndarray) -> np.ndarray:
     return blockwise_softmax(-cost / g.lam, g.dims)
 
 
-def _softmax_jacobian(p: np.ndarray, dims) -> np.ndarray:
-    """Block-diagonal softmax Jacobian with blocks diag(p_i) - p_i p_i^T."""
-    m = dims.total
-    J = np.zeros((m, m))
-    for i in range(dims.n):
-        blk = dims.block(i)
-        pi = p[blk]
-        J[blk, blk] = np.diag(pi) - np.outer(pi, pi)
-    return J
-
-
 def response_jacobian(g: Game, x: np.ndarray) -> np.ndarray:
     """Jacobian of the softmax with respect to its argument u = -(b + Cx)/lam.
 
     Block-diagonal with blocks diag(p_i) - p_i p_i^T where p = f(u); each
-    block is symmetric PSD with zero row sums.
+    block is symmetric PSD with zero row sums.  This is the only place the
+    dense m x m matrix is built: the solver and the implicit gradient use
+    its block structure instead (see cost_residual_jacobian).
     """
-    return _softmax_jacobian(logit_response(g, x), g.dims)
+    p = logit_response(g, x)
+    owner = g.dims.owner
+    J = np.where(owner[:, None] == owner[None, :], -np.outer(p, p), 0.0)
+    J.flat[:: p.size + 1] += p
+    return J
 
 
-def cost_residual_jacobian(g: Game, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax Jacobian J_u at the strategy x, and H = I + (1/lam) C J_u.
+def cost_residual_jacobian(g: Game, x: np.ndarray) -> np.ndarray:
+    """H = I + (1/lam) C J_u, with J_u the softmax Jacobian at the strategy x.
 
     H is the Jacobian of the cost-space residual R(y) = y - b - C f(-y/lam)
-    at the cost y with f(-y/lam) = x.  Under the uniqueness certificate H is
-    nonsingular: det(I + AB) = det(I + BA) gives
-    det H = det(I + (1/lam) J_u C) = det(I + (1/lam) J_u^1/2 C J_u^1/2),
-    and the last matrix's symmetric part is at least I.
+    at the cost y with f(-y/lam) = x.  It is formed in O(m^2 n) from the
+    block structure of J_u, without building it: column j of C J_u, in block
+    k, is x_j (C_{:,j} - S_{:,k}) with S_{:,k} = sum over l in block k of
+    C_{:,l} x_l, one product of C with the m x n block indicator scaled by x.
+
+    Under the uniqueness certificate H is nonsingular: det(I + AB) =
+    det(I + BA) gives det H = det(I + (1/lam) J_u C) =
+    det(I + (1/lam) J_u^1/2 C J_u^1/2), and the last matrix's symmetric part
+    is at least I.
     """
-    J_u = _softmax_jacobian(x, g.dims)
-    return J_u, np.eye(g.dims.total) + (1.0 / g.lam) * (g.C @ J_u)
+    dims = g.dims
+    m = dims.total
+    W = np.zeros((m, dims.n))
+    W[np.arange(m), dims.owner] = x
+    H = (g.C @ W)[:, dims.owner]
+    np.subtract(g.C, H, out=H)
+    H *= x / g.lam
+    H.flat[:: m + 1] += 1.0
+    return H
 
 
 def solve_equilibrium(
@@ -157,7 +161,7 @@ def solve_equilibrium(
             if out.converged:
                 return out
         try:
-            step = np.linalg.solve(cost_residual_jacobian(g, x)[1], -R)
+            step = np.linalg.solve(cost_residual_jacobian(g, x), -R)
         except np.linalg.LinAlgError:
             return outcome(x, Rsq, it)
 
@@ -188,11 +192,8 @@ def stationarity_residual(g: Game, x: np.ndarray) -> float:
     if np.any(x <= 0):
         raise NonPositiveStrategy("stationarity diagnostic needs strictly positive entries")
     v = perceived_cost(g, x) + g.lam * np.log(x)
-    spread = 0.0
-    for i in range(g.dims.n):
-        vi = v[g.dims.block(i)]
-        spread = max(spread, float(vi.max() - vi.min()))
-    return spread
+    starts = g.dims.starts
+    return float(np.max(np.maximum.reduceat(v, starts) - np.minimum.reduceat(v, starts)))
 
 
 def simulate_gumbel_choice(
@@ -209,6 +210,8 @@ def simulate_gumbel_choice(
     the logit response exactly in distribution.  Deterministic given seed.
     """
     cost = np.asarray(cost, dtype=float)
+    if not lam > 0:
+        raise NonPositiveLambda(f"lambda must be > 0, got {lam}")
     if not np.all(np.isfinite(cost)):
         raise NonFiniteInput("cost vector is not finite")
     if samples < 1:

@@ -78,6 +78,19 @@ class TestImplicitGradient:
             )
             assert np.linalg.norm(G - fd) <= 1e-4 * np.linalg.norm(fd)
 
+    def test_matches_dense_formula(self, rng):
+        from qregames.solver import logit_response, response_jacobian
+
+        g = random_certified_game(rng, [1, 4, 2, 7], lam=0.3, coupling=2.0)
+        x0 = solve_equilibrium(g, RESOLVE).x
+        x = logit_response(g, x0)  # the strategy response_jacobian(g, x0) is taken at
+        grad_psi = rng.normal(size=g.dims.total)
+        G = implicit_gradient(g, x, grad_psi)
+        J = response_jacobian(g, x0)
+        H = np.eye(g.dims.total) + (1.0 / g.lam) * g.C @ J
+        expected = -(1.0 / g.lam) * np.outer(np.linalg.solve(H.T, J @ grad_psi), x)
+        assert np.abs(G - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
     def test_rejects_wrong_gradient_length(self, rng):
         g = random_certified_game(rng, [2, 2])
         out = solve_equilibrium(g)

@@ -48,6 +48,19 @@ class TestSolveCommand:
         assert main(["solve", "--game", collision_path, "--lambda", "-1"]) == 2
         assert capsys.readouterr().err.startswith("error:InvalidInput:")
 
+    def test_underflowed_equilibrium_has_null_stationarity(self, tmp_path):
+        # x_2 = exp(-1000) rounds to 0.0, so ln x_2 is undefined
+        path = tmp_path / "underflow.json"
+        path.write_text(json.dumps(
+            {"lambda": 0.01, "dims": [2, 2], "b": [0, 10, 0, 10], "C": [[0] * 4] * 4}
+        ))
+        out = tmp_path / "s.json"
+        assert main(["solve", "--game", str(path), "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["converged"] is True
+        assert data["x"] == [1.0, 0.0, 1.0, 0.0]
+        assert data["stationarity_residual"] is None
+
     def test_nonconvergence_exit_code(self, tmp_path):
         # coupled, so no Gauss-Newton step lands exactly on the equilibrium
         game, _ = build_collision_game()
@@ -119,6 +132,8 @@ class TestSimulateCommand:
 
     def test_bad_lambda(self, capsys):
         assert main(["simulate", "--cost", "1,2", "--lambda", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error:InvalidInput:")
+        assert main(["simulate", "--cost", "1,2", "--lambda", "nan"]) == 2
         assert capsys.readouterr().err.startswith("error:InvalidInput:")
 
 

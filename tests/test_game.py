@@ -122,6 +122,15 @@ class TestBlocks:
         assert off == (0, 2, 7, 8)
         assert all(off[i] + dims.sizes[i] == off[i + 1] for i in range(dims.n))
 
+    def test_index_arrays_read_only(self):
+        dims = PlayerDims([1, 4, 2, 7])
+        assert dims.starts.tolist() == [0, 1, 5, 7]
+        assert dims.owner.tolist() == [0, 1, 1, 1, 1, 2, 2, 3, 3, 3, 3, 3, 3, 3]
+        for arr in (dims.starts, dims.owner):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 5
+
 
 class TestGameJson:
     def test_roundtrip_bitwise(self, tmp_path, rng):

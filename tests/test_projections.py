@@ -43,6 +43,16 @@ class TestProjectConeSum:
             inner = np.einsum("ij,bij->b", C - P, Y - P)
             assert inner.max() <= 1e-8
 
+    def test_matches_per_block_zeroing(self, rng):
+        from qregames.projections import project_psd
+
+        dims = PlayerDims([1, 4, 2, 7])
+        C = rng.normal(size=(dims.total, dims.total))
+        skew = 0.5 * (C - C.T)
+        for i in range(dims.n):
+            skew[dims.block(i), dims.block(i)] = 0.0
+        assert np.array_equal(project_cone_sum(C, dims), project_psd(0.5 * (C + C.T)) + skew)
+
     def test_idempotent(self, rng):
         dims = PlayerDims([3, 2])
         for _ in range(10):

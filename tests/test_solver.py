@@ -5,6 +5,7 @@ from qregames import (
     DimensionMismatch,
     Game,
     NonFiniteInput,
+    NonPositiveLambda,
     NonPositiveStrategy,
     PlayerDims,
     SolverConfig,
@@ -99,6 +100,55 @@ class TestResponseJacobian:
                 um[k] -= h
                 col = (blockwise_softmax(up, g.dims) - blockwise_softmax(um, g.dims)) / (2 * h)
                 assert np.abs(J[:, k] - col).max() <= 1e-6
+
+
+class TestStructuredKernels:
+    """The block-structured kernels on unequal blocks with a one-action player."""
+
+    DIMS = PlayerDims([1, 4, 2, 7])
+
+    @staticmethod
+    def reference_softmax(u, dims):
+        out = np.empty_like(u)
+        for i in range(dims.n):
+            z = u[dims.block(i)]
+            e = np.exp(z - z.max())
+            out[dims.block(i)] = e / e.sum()
+        return out
+
+    def test_softmax_matches_per_block_reference(self, rng):
+        from qregames.solver import blockwise_softmax
+
+        lam = 0.1
+        for scale in (1.0, 1e3 * lam):
+            u = scale * rng.normal(size=self.DIMS.total)
+            p = blockwise_softmax(u, self.DIMS)
+            assert not np.any(np.isnan(p))
+            assert p[0] == 1.0  # the singleton block
+            assert np.abs(p - self.reference_softmax(u, self.DIMS)).max() <= 1e-15
+            for i in range(self.DIMS.n):
+                assert abs(p[self.DIMS.block(i)].sum() - 1.0) <= 1e-15
+
+    def test_cost_residual_jacobian_matches_dense(self, rng):
+        from qregames.solver import cost_residual_jacobian
+
+        g = random_certified_game(rng, self.DIMS.sizes, lam=0.3, coupling=2.0)
+        x0 = random_interior_strategy(rng, g.dims)
+        H = cost_residual_jacobian(g, logit_response(g, x0))
+        dense = np.eye(g.dims.total) + (1.0 / g.lam) * g.C @ response_jacobian(g, x0)
+        assert np.abs(H - dense).max() <= 1e-12
+
+    def test_response_jacobian_blocks(self, rng):
+        g = random_certified_game(rng, self.DIMS.sizes, lam=0.3)
+        x0 = random_interior_strategy(rng, g.dims)
+        p = logit_response(g, x0)
+        J = response_jacobian(g, x0)
+        expected = np.zeros_like(J)
+        for i in range(g.dims.n):
+            blk = g.dims.block(i)
+            expected[blk, blk] = np.diag(p[blk]) - np.outer(p[blk], p[blk])
+        assert np.abs(J - expected).max() <= 1e-15
+        assert np.all(J[0] == 0.0)  # the singleton block has a zero Jacobian
 
 
 class TestSolveEquilibrium:
@@ -222,6 +272,11 @@ class TestGumbelChoice:
         cost = rng.normal(size=5)
         freq = simulate_gumbel_choice(cost, 0.5, 1234, seed=0)
         assert freq.sum() == pytest.approx(1.0, abs=0.0)
+
+    def test_nonpositive_or_nan_lambda_raises(self):
+        for lam in (-0.5, 0.0, float("nan")):
+            with pytest.raises(NonPositiveLambda):
+                simulate_gumbel_choice(np.array([0.0, 1.0]), lam, 10_000, seed=0)
 
     def test_deterministic_given_seed(self):
         a = simulate_gumbel_choice(np.array([0.5, 1.0]), 0.3, 50_000, seed=42)
