@@ -85,7 +85,23 @@ def _parse_floats(text: str, flag: str) -> list[float]:
 
 
 def _parse_ints(text: str, flag: str) -> list[int]:
-    return [int(v) for v in _parse_floats(text, flag)]
+    values = _parse_floats(text, flag)
+    if not all(v.is_integer() for v in values):
+        raise InvalidInput(f"{flag} expects comma-separated integers, got {text!r}")
+    return [int(v) for v in values]
+
+
+def _checked(factory, *args, **kwargs):
+    """Build a config or objective, reporting a rejected value as bad input."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise InvalidInput(str(exc)) from exc
+
+
+def _check_rho(rho: float, flag: str) -> None:
+    if not rho > 0:
+        raise InvalidInput(f"{flag} must be > 0, got {rho!r}")
 
 
 # ---------------------------------------------------------------- solve ----
@@ -93,7 +109,7 @@ def _parse_ints(text: str, flag: str) -> list[int]:
 
 def _cmd_solve(args) -> int:
     game = _load_game_with_overrides(args)
-    cfg = SolverConfig(residual_tol=args.residual_tol, max_iters=args.max_iters)
+    cfg = _checked(SolverConfig, residual_tol=args.residual_tol, max_iters=args.max_iters)
     outcome = solve_equilibrium(game, cfg)
     payload = {
         "x": outcome.x.tolist(),
@@ -135,8 +151,9 @@ def _design_payload(result: DesignResult, seed: int, extra: dict | None = None) 
 def _cmd_design_sdp(args) -> int:
     game = _load_game_with_overrides(args)
     target = PureTarget(_parse_ints(args.target, "--target"))
-    cfg = MinNormConfig(
-        epsilon=args.epsilon, dykstra_tol=args.dykstra_tol, max_sweeps=args.max_sweeps
+    cfg = _checked(
+        MinNormConfig,
+        epsilon=args.epsilon, dykstra_tol=args.dykstra_tol, max_sweeps=args.max_sweeps,
     )
     result = solve_min_norm_design(game, target, cfg)
     target_x = pure_to_strategy(target, game.dims)
@@ -152,13 +169,15 @@ def _cmd_design_bilevel(args) -> int:
             raise InvalidInput("--objective kl requires --target")
         target = PureTarget(_parse_ints(args.target, "--target"))
         target_x = pure_to_strategy(target, game.dims)
-        obj = kl_objective(target_x, game.dims, smoothing_delta=args.delta)
+        obj = _checked(kl_objective, target_x, game.dims, smoothing_delta=args.delta)
     else:
         target_x = None
         obj = potential_delay_objective(game.dims)
-    cfg = BilevelConfig(
-        step_alpha=args.alpha, stop_eps=args.stop_eps, max_outer_iters=args.max_outer
+    cfg = _checked(
+        BilevelConfig,
+        step_alpha=args.alpha, stop_eps=args.stop_eps, max_outer_iters=args.max_outer,
     )
+    _check_rho(args.rho, "--rho")
     result = run_projected_gradient(game, obj, args.rho, cfg)
     extra = {}
     if target_x is not None:
@@ -239,6 +258,9 @@ def _fair_adjacency(args):
 def _cmd_experiment(args) -> int:
     if args.scenario == "collision-sdp":
         eps_grid = _parse_floats(args.eps_grid, "--eps-grid")
+        for eps in eps_grid:
+            _checked(MinNormConfig, epsilon=eps, dykstra_tol=args.dykstra_tol,
+                     max_sweeps=args.max_sweeps)
         tasks = [(eps, args.dykstra_tol, args.max_sweeps) for eps in eps_grid]
         rows = _run_rows(tasks, _sdp_row, args.jobs)
         rows.sort(key=lambda r: r["epsilon"])
@@ -257,10 +279,16 @@ def _cmd_experiment(args) -> int:
         if args.scenario == "collision-bilevel":
             game, target = experiments.build_collision_game()
             obj_name, chosen = "kl", target.chosen
+            _checked(kl_objective, pure_to_strategy(target, game.dims), game.dims,
+                     smoothing_delta=args.delta)
         else:
             game = experiments.build_fair_game(_fair_adjacency(args), args.homes.split(","))
             obj_name, chosen = "potential-delay", None
         rho_grid = _parse_floats(args.rho_grid, "--rho-grid")
+        for rho in rho_grid:
+            _check_rho(rho, "--rho-grid")
+        _checked(BilevelConfig, step_alpha=args.alpha, stop_eps=args.stop_eps,
+                 max_outer_iters=args.max_outer)
         tasks = [
             (rho, game_to_dict(game), obj_name, chosen, args.delta, args.alpha,
              args.stop_eps, args.max_outer)
@@ -331,8 +359,11 @@ def _build_parser() -> _Parser:
     game_input(p)
     p.add_argument("--target", required=True, help="comma-separated 1-based action per player")
     p.add_argument("--epsilon", type=float, default=3.0)
-    p.add_argument("--dykstra-tol", type=float, default=1e-8)
-    p.add_argument("--max-sweeps", type=int, default=50_000)
+    p.add_argument("--dykstra-tol", type=float, default=1e-8,
+                   help="stop when the min-norm dual's projected gradient is at most "
+                        "this; it bounds every margin's violation")
+    p.add_argument("--max-sweeps", type=int, default=50_000,
+                   help="cap on min-norm dual iterations")
     common(p)
     p.set_defaults(func=_cmd_design_sdp)
 
@@ -360,8 +391,11 @@ def _build_parser() -> _Parser:
     p.add_argument("scenario", choices=["collision-sdp", "collision-bilevel", "fair"])
     p.add_argument("--eps-grid", default=",".join(map(str, experiments.DEFAULT_EPS_GRID)))
     p.add_argument("--rho-grid", default=",".join(map(str, experiments.DEFAULT_RHO_GRID)))
-    p.add_argument("--dykstra-tol", type=float, default=1e-8)
-    p.add_argument("--max-sweeps", type=int, default=50_000)
+    p.add_argument("--dykstra-tol", type=float, default=1e-8,
+                   help="stop when the min-norm dual's projected gradient is at most "
+                        "this; it bounds every margin's violation")
+    p.add_argument("--max-sweeps", type=int, default=50_000,
+                   help="cap on min-norm dual iterations")
     p.add_argument("--delta", type=float, default=KL_SMOOTHING_DEFAULT)
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--stop-eps", type=float, default=1e-6)

@@ -43,10 +43,12 @@ class InvalidGeometry(QreGamesError):
 
 
 class InfeasibleDetected(QreGamesError):
-    """Alternating projections stalled with a persistent constraint violation.
+    """A design's constraints admit no feasible cost matrix.
 
-    Dykstra's method has no infeasibility certificate, so this is heuristic:
-    the iterate stopped moving while some margin constraint stayed violated.
+    The min-norm route does not raise it: its margin constraints are always
+    jointly feasible with the uniqueness cone (see `qregames.min_norm`), so
+    its dual is bounded.  The class stays in the hierarchy, and in the CLI's
+    exit-code mapping, as the signal for a design with no feasible point.
     """
 
     def __init__(self, message: str, max_violation: float):

@@ -4,27 +4,40 @@ Making a pure joint strategy the (unique) equilibrium amounts to linear
 margin constraints on C -- at the target profile, each player's chosen
 action must undercut every alternative by at least epsilon -- plus the
 uniqueness cone.  Minimizing ||C||_F over that intersection is exactly the
-projection of the zero matrix onto it, which Dykstra's alternating
-projections compute without an external conic solver.
+projection of the zero matrix onto it.  Its Lagrange dual has one
+nonnegative multiplier per margin and is smooth, with one cone projection
+(one `eigh`) per evaluation (Malick, SIAM J. Matrix Anal. Appl. 2004), so a
+projected Barzilai-Borwein iteration over the multipliers (Birgin, Martinez
+and Raydan, SIAM J. Optim. 2000) computes the projection without an
+external conic solver and without storing any m x m constraint normal.
+The margins are always jointly feasible with the cone: a block-diagonal C
+whose block i is the rank-one PSD v v^T, with v = 1 at the chosen action
+and v = c elsewhere, makes every alternative cost c - 1 more.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleDetected
 from .game import Game, PlayerDims, PureTarget, pure_to_strategy, validate_game
 from .objectives import kl_objective
 from .projections import project_cone_sum
 from .results import DesignResult
 from .solver import SolverConfig, solve_equilibrium
 
-# Infeasibility heuristic: the iterate has stopped moving for this many
-# sweeps while some margin stays violated by more than the floor.
-STALL_SWEEPS = 500
-STALL_VIOLATION = 1e-4
+# Nonmonotone Armijo test of the dual iteration: sufficient decrease
+# against the largest of the last ARMIJO_WINDOW dual values, halving the
+# step until it holds.  A monotone test stalls on round-off near the
+# optimum.  BB_STEP_MAX caps the spectral step where the gradient barely
+# changed along the last step.
+ARMIJO_SIGMA = 1e-4
+ARMIJO_WINDOW = 10
+ARMIJO_SHRINK = 0.5
+BB_STEP_MAX = 1e10
 
 
 @dataclass(frozen=True)
@@ -47,14 +60,16 @@ class MarginConstraint:
 @dataclass(frozen=True)
 class MinNormConfig:
     epsilon: float = 3.0  # cost separation margin at the target profile
-    dykstra_tol: float = 1e-8  # sweep-to-sweep Frobenius change at termination
-    max_sweeps: int = 50_000
+    # Stop when the dual's projected gradient ||mu - max(mu - grad, 0)|| is at
+    # most this; it bounds every margin's violation.
+    dykstra_tol: float = 1e-8
+    max_sweeps: int = 50_000  # cap on dual iterations
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if not self.dykstra_tol > 0 or self.max_sweeps < 1:
-            raise ValueError("dykstra_tol must be > 0 and max_sweeps >= 1")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and >= 0")
+        if not 0 < self.dykstra_tol < math.inf or self.max_sweeps < 1:
+            raise ValueError("dykstra_tol must be finite and > 0, and max_sweeps >= 1")
 
 
 def build_margin_constraints(
@@ -94,51 +109,83 @@ def max_margin_violation(C: np.ndarray, constraints: list[MarginConstraint]) -> 
     return max(max(c.violation(C) for c in constraints), 0.0)
 
 
-def _dykstra_min_norm(
-    dims: PlayerDims,
-    constraints: list[MarginConstraint],
-    tol: float,
-    max_sweeps: int,
-    start: np.ndarray | None = None,
-) -> tuple[np.ndarray, int, bool]:
-    """Project `start` (default: zero) onto (cone) intersect (half-spaces).
+def _margin_structure(
+    g: Game, t: PureTarget, epsilon: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The margin constraints of `build_margin_constraints`, without normals.
 
-    Classic Dykstra: one correction term per set, half-spaces first and the
-    cone last within each sweep so the returned iterate is cone-feasible up
-    to round-off.  Converged iterates are the exact projection of the start
-    point, hence the minimum-norm feasible matrix when starting from zero.
+    Returns (cols, star, alt, beta): the chosen flat index of every player,
+    and per constraint the chosen row, the alternative row and the bound.
+    Constraint k reads s[star[k]] - s[alt[k]] <= beta[k] with
+    s = C[:, cols].sum(1).
     """
-    m = dims.total
-    X = np.zeros((m, m)) if start is None else np.array(start, dtype=float)
-    corrections = [np.zeros((m, m)) for _ in range(len(constraints) + 1)]
-    normals_sq = [float(np.sum(c.normal * c.normal)) for c in constraints]
-    stall = 0
-    for sweep in range(1, max_sweeps + 1):
-        X_prev = X
-        for l, con in enumerate(constraints):
-            Y = X + corrections[l]
-            overshoot = max(float(np.sum(con.normal * Y)) - con.beta, 0.0)
-            X = Y - (overshoot / normals_sq[l]) * con.normal
-            corrections[l] = Y - X
-        Y = X + corrections[-1]
-        X = project_cone_sum(Y, dims)
-        corrections[-1] = Y - X
+    dims = g.dims
+    cols = np.array([dims.flat_index(j, t.chosen[j]) for j in range(dims.n)], dtype=np.intp)
+    star = np.repeat(cols, [s - 1 for s in dims.sizes])
+    alt = np.setdiff1d(np.arange(dims.total, dtype=np.intp), cols)
+    beta = g.b[alt] - g.b[star] - epsilon
+    return cols, star, alt, beta
 
-        delta = float(np.linalg.norm(X - X_prev))
-        if delta <= tol:
-            violation = max_margin_violation(X, constraints)
-            if violation < STALL_VIOLATION:
-                return X, sweep, True
-            stall += 1
-            if stall >= STALL_SWEEPS:
-                raise InfeasibleDetected(
-                    f"alternating projections stalled for {stall} sweeps with "
-                    f"margin violation {violation:.3e}",
-                    max_violation=violation,
-                )
-        else:
-            stall = 0
-    return X, max_sweeps, False
+
+def _dual_min_norm(
+    dims: PlayerDims,
+    margins: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    tol: float,
+    max_iters: int,
+    start: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """Project `start` (default: zero) onto (cone) intersect (margins).
+
+    Minimises the smooth dual theta(mu) = 1/2 ||C(mu)||^2 + beta^T mu over
+    mu >= 0, with C(mu) = Pi_K(start - A* mu) and grad theta = beta - A C(mu),
+    by projected Barzilai-Borwein steps under a nonmonotone Armijo test.
+    A* mu subtracts r = sum_k mu_k (e_star_k - e_alt_k) from the columns
+    `cols`; A C reads s = C[:, cols].sum(1) at the star and alternative rows.
+    Returns (C, grad, iterations, converged); a margin's violation is
+    -grad[k], bounded by the stopping test's projected-gradient norm.
+    """
+    cols, star, alt, beta = margins
+    m = dims.total
+    Y0 = np.zeros((m, m)) if start is None else np.asarray(start, dtype=float)
+
+    def evaluate(mu):
+        r = np.bincount(star, mu, m) - np.bincount(alt, mu, m)
+        Z = Y0.copy()
+        Z[:, cols] -= r[:, None]
+        C = project_cone_sum(Z, dims)
+        s = C[:, cols].sum(axis=1)
+        grad = beta - (s[star] - s[alt])
+        return C, grad, 0.5 * float(np.vdot(C, C)) + float(beta @ mu)
+
+    mu = np.zeros(len(beta))
+    C, grad, theta = evaluate(mu)
+    recent = deque([theta], maxlen=ARMIJO_WINDOW)
+    # 1/||A||^2, the step of the descent lemma: A A^T has one block
+    # n (I + 11^T) of size m_i - 1 per player.
+    alpha = 1.0 / (dims.n * max(dims.sizes))
+    iterations = 0
+    while np.linalg.norm(mu - np.maximum(mu - grad, 0.0)) > tol:
+        if iterations == max_iters:
+            return C, grad, iterations, False
+        d = np.maximum(mu - alpha * grad, 0.0) - mu
+        slope = ARMIJO_SIGMA * float(d @ grad)
+        ceiling = max(recent)
+        step = 1.0
+        while True:
+            trial = mu + step * d
+            if np.array_equal(trial, mu):
+                return C, grad, iterations, False  # the step vanished in round-off
+            C_new, grad_new, theta_new = evaluate(trial)
+            if theta_new <= ceiling + step * slope:
+                break
+            step *= ARMIJO_SHRINK
+        s_step, y_step = trial - mu, grad_new - grad
+        sy = float(s_step @ y_step)
+        alpha = min(float(s_step @ s_step) / sy, BB_STEP_MAX) if sy > 0 else BB_STEP_MAX
+        mu, C, grad = trial, C_new, grad_new
+        recent.append(theta_new)
+        iterations += 1
+    return C, grad, iterations, True
 
 
 def solve_min_norm_design(
@@ -149,17 +196,18 @@ def solve_min_norm_design(
 ) -> DesignResult:
     """Smallest-Frobenius-norm C that makes the target the unique equilibrium.
 
-    Runs Dykstra over the margin half-spaces and the uniqueness cone, then
-    solves the forward problem for the induced equilibrium.  The reported
-    objective value is the divergence of the induced equilibrium from the
-    (smoothed) target.  A result with `converged=False` means the sweep
-    budget ran out; a clearly infeasible target raises InfeasibleDetected.
+    Solves the dual of the projection onto the margin half-spaces and the
+    uniqueness cone, then solves the forward problem for the induced
+    equilibrium.  The reported objective value is the divergence of the
+    induced equilibrium from the (smoothed) target.  A result with
+    `converged=False` means the dual iteration cap ran out, or the line
+    search could no longer move the multipliers, before the stopping test
+    held.
     """
     validate_game(g)
     cfg = cfg or MinNormConfig()
-    constraints = build_margin_constraints(g, t, cfg.epsilon)
-    C, sweeps, converged = _dykstra_min_norm(
-        g.dims, constraints, cfg.dykstra_tol, cfg.max_sweeps
+    C, grad, iterations, converged = _dual_min_norm(
+        g.dims, _margin_structure(g, t, cfg.epsilon), cfg.dykstra_tol, cfg.max_sweeps
     )
     designed = g.with_matrix(C)
     outcome = solve_equilibrium(designed, solver)
@@ -170,7 +218,7 @@ def solve_min_norm_design(
         x=outcome.x,
         objective_value=divergence,
         c_norm=float(np.linalg.norm(C)),
-        outer_iterations=sweeps,
+        outer_iterations=iterations,
         converged=converged and outcome.converged,
-        max_violation=max_margin_violation(C, constraints),
+        max_violation=max(0.0, -float(grad.min(initial=np.inf))),
     )

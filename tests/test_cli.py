@@ -197,5 +197,34 @@ class TestDeterminismAndErrors:
         assert main(["experiment", "fair", "--rho-grid", "abc"]) == 2
         assert capsys.readouterr().err.startswith("error:InvalidInput:")
 
+    @pytest.mark.parametrize("argv", [
+        ["design-sdp", "--target", "3,3,3,3", "--max-sweeps", "0"],
+        ["design-sdp", "--target", "3,3,3,3", "--dykstra-tol", "nan"],
+        ["design-sdp", "--target", "3,3,3,3", "--epsilon", "nan"],
+        ["design-sdp", "--target", "3,3,3,3", "--epsilon", "inf"],
+        ["design-sdp", "--target", "1.5,3,3,3"],
+        ["design-sdp", "--target", "nan,3,3,3"],
+        ["design-bilevel", "--objective", "kl", "--target", "3,3,3,3", "--rho", "nan"],
+        ["design-bilevel", "--objective", "kl", "--target", "3,3,3,3", "--rho", "1",
+         "--alpha", "nan"],
+        ["solve", "--max-iters", "0"],
+    ])
+    def test_bad_design_flag_value(self, collision_path, argv, capsys):
+        assert main(argv[:1] + ["--game", collision_path] + argv[1:]) == 2
+        assert capsys.readouterr().err.startswith("error:InvalidInput:")
+
+    @pytest.mark.parametrize("argv", [
+        ["collision-sdp", "--eps-grid", "-1"],
+        ["collision-sdp", "--eps-grid", "1,nan"],
+        ["collision-sdp", "--eps-grid", "1", "--max-sweeps", "0"],
+        ["fair", "--rho-grid", "nan"],
+        ["collision-bilevel", "--rho-grid", "1", "--delta", "2"],
+    ])
+    def test_bad_experiment_flag_value(self, argv, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        assert main(["experiment"] + argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:InvalidInput:")
+        assert not out.exists()
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2

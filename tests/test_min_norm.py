@@ -1,10 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qregames import (
     Game,
-    InfeasibleDetected,
-    MarginConstraint,
     MinNormConfig,
     PlayerDims,
     PureTarget,
@@ -12,8 +12,8 @@ from qregames import (
     max_margin_violation,
     solve_min_norm_design,
 )
-from qregames.experiments import build_collision_game
-from qregames.min_norm import _dykstra_min_norm
+from qregames.experiments import DEFAULT_EPS_GRID, build_collision_game
+from qregames.min_norm import _dual_min_norm, _margin_structure
 
 
 def two_action_game(b, lam=0.1):
@@ -123,10 +123,10 @@ class TestSolveMinNormDesign:
         g = two_action_game([0.0, 0.0])
         target = PureTarget([1])
         result = solve_min_norm_design(g, target, MinNormConfig(epsilon=1.0))
-        cons = build_margin_constraints(g, target, epsilon=1.0)
+        margins = _margin_structure(g, target, epsilon=1.0)
         for _ in range(1000):
             start = 10.0 * rng.normal(size=(2, 2))
-            Y, _, ok = _dykstra_min_norm(g.dims, cons, tol=1e-9, max_sweeps=20_000,
+            Y, _, _, ok = _dual_min_norm(g.dims, margins, tol=1e-9, max_iters=20_000,
                                          start=start)
             assert ok
             assert result.c_norm <= np.linalg.norm(Y) + 1e-6
@@ -152,15 +152,90 @@ class TestSolveMinNormDesign:
         assert all(b >= a - 1e-8 for a, b in zip(norms, norms[1:]))
         assert all(b <= a + 1e-8 for a, b in zip(kls, kls[1:]))
 
-    def test_infeasible_detected(self):
-        # trace(C) >= 0 on the cone, so <I, C> <= -1 can never hold
-        dims = PlayerDims([2])
-        impossible = MarginConstraint(normal=np.eye(2), beta=-1.0, player=0, action=2)
-        with pytest.raises(InfeasibleDetected):
-            _dykstra_min_norm(dims, [impossible], tol=1e-8, max_sweeps=50_000)
-
     def test_max_sweeps_flagged(self):
         game, target = build_collision_game()
         result = solve_min_norm_design(game, target, MinNormConfig(epsilon=3.0, max_sweeps=3))
         assert not result.converged
         assert result.outer_iterations == 3
+
+    @pytest.mark.parametrize("epsilon", [-1.0, float("nan"), float("inf")])
+    def test_epsilon_must_be_finite_and_nonnegative(self, epsilon):
+        with pytest.raises(ValueError):
+            MinNormConfig(epsilon=epsilon)
+
+
+def in_cone(C, dims, eig_tol=1e-9, block_tol=1e-10):
+    if np.linalg.eigvalsh(0.5 * (C + C.T)).min() < -eig_tol:
+        return False
+    return all(
+        np.linalg.norm(C[dims.block(i), dims.block(i)] - C[dims.block(i), dims.block(i)].T)
+        <= block_tol
+        for i in range(dims.n)
+    )
+
+
+class TestDualSolver:
+    # c_norm of the collision design over the default margin grid, as the
+    # former Dykstra solver computed it at dykstra_tol 1e-8
+    COLLISION_C_NORMS = (
+        2.69495357, 3.72427043, 4.79284416, 5.87957443, 6.97604481,
+        8.07831043, 9.18429272, 10.29279706, 11.40308961, 12.51469531,
+    )
+
+    def test_structure_matches_margin_constraints(self, rng):
+        dims = PlayerDims([1, 4, 2, 7])
+        g = Game(dims, 0.1, rng.normal(size=dims.total), np.zeros((14, 14)))
+        target = PureTarget([1, 3, 2, 7])
+        cols, star, alt, beta = _margin_structure(g, target, epsilon=1.5)
+        cons = build_margin_constraints(g, target, epsilon=1.5)
+        assert len(cons) == len(star) == len(alt) == len(beta) == 10
+        for c, row_star, row_alt, b in zip(cons, star, alt, beta):
+            normal = np.zeros((14, 14))
+            normal[row_star, cols] += 1.0
+            normal[row_alt, cols] -= 1.0
+            assert np.array_equal(c.normal, normal) and c.beta == b
+
+    def test_unequal_blocks_design_is_feasible_and_shortest(self, rng):
+        dims = PlayerDims([1, 4, 2, 7])
+        g = Game(dims, 0.1, rng.normal(size=dims.total), np.zeros((14, 14)))
+        target = PureTarget([int(rng.integers(1, s + 1)) for s in dims.sizes])
+        cfg = MinNormConfig(epsilon=2.0)
+        result = solve_min_norm_design(g, target, cfg)
+        assert result.converged
+        cons = build_margin_constraints(g, target, epsilon=2.0)
+        assert max_margin_violation(result.C, cons) <= cfg.dykstra_tol
+        assert result.max_violation == pytest.approx(max_margin_violation(result.C, cons),
+                                                     abs=1e-12)
+        assert in_cone(result.C, dims)
+        margins = _margin_structure(g, target, epsilon=2.0)
+        for _ in range(100):
+            start = 5.0 * rng.normal(size=(14, 14))
+            Y, _, _, ok = _dual_min_norm(dims, margins, tol=1e-9, max_iters=20_000,
+                                         start=start)
+            assert ok and in_cone(Y, dims)
+            assert max_margin_violation(Y, cons) <= 1e-9
+            assert result.c_norm <= np.linalg.norm(Y) + 1e-6
+
+    def test_collision_grid_matches_reference_norms(self):
+        game, target = build_collision_game()
+        for eps, ref in zip(DEFAULT_EPS_GRID, self.COLLISION_C_NORMS):
+            result = solve_min_norm_design(game, target, MinNormConfig(epsilon=eps))
+            assert result.converged
+            assert result.c_norm == pytest.approx(ref, abs=1e-6)
+
+    def test_memory_is_quadratic_in_m(self, rng):
+        # no m x m constraint normal or correction is kept: one m=150 design
+        # stays within a few m x m float arrays
+        m = 150
+        dims = PlayerDims([15] * 10)
+        g = Game(dims, 0.1, rng.normal(size=m), np.zeros((m, m)))
+        target = PureTarget([int(rng.integers(1, 16)) for _ in range(10)])
+        cfg = MinNormConfig(epsilon=2.5)
+        tracemalloc.start()
+        try:
+            result = solve_min_norm_design(g, target, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.converged
+        assert peak <= 16 * m * m * 8
