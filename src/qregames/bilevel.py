@@ -3,8 +3,8 @@
 The equilibrium is an implicit function of the cost matrix through its
 fixed-point condition, so the chain rule plus the implicit function theorem
 give the gradient of any smooth performance function with respect to C.  A
-projected gradient loop then descends that gradient over the feasible set
-(uniqueness cone intersected with a Frobenius ball).
+projected gradient loop with an Armijo line search then descends that gradient
+over the feasible set (uniqueness cone intersected with a Frobenius ball).
 """
 
 from __future__ import annotations
@@ -24,17 +24,25 @@ from .solver import SolverConfig, cost_residual_jacobian, solve_equilibrium
 # tolerance, otherwise solver noise masks the gradient near stationarity.
 INNER_SOLVER_DEFAULT = SolverConfig(residual_tol=1e-20)
 
+# Armijo line search on the projection arc: sufficient-decrease constant,
+# step shrink factor, and the halvings allowed before the run gives up.
+ARMIJO_SIGMA = 1e-4
+HALVING = 0.5
+MAX_HALVINGS = 30
+
 
 @dataclass(frozen=True)
 class BilevelConfig:
-    step_alpha: float = 0.1
-    stop_eps: float = 1e-6  # terminate when the projected step moves C less than this
+    step_alpha: float = 0.1  # first trial step of each iteration's line search
+    stop_eps: float = 1e-6  # converged once the step_alpha projected step moves C at most this
     max_outer_iters: int = 5000
     inner: SolverConfig = field(default_factory=lambda: INNER_SOLVER_DEFAULT)
 
     def __post_init__(self):
-        if not self.step_alpha > 0 or not self.stop_eps > 0 or self.max_outer_iters < 1:
-            raise ValueError("step_alpha, stop_eps must be > 0 and max_outer_iters >= 1")
+        if not 0 < self.step_alpha < np.inf or not 0 < self.stop_eps < np.inf:
+            raise ValueError("step_alpha and stop_eps must be finite and > 0")
+        if self.max_outer_iters < 1:
+            raise ValueError("max_outer_iters must be >= 1")
 
 
 def implicit_gradient(g: Game, x: np.ndarray, grad_psi_x: np.ndarray) -> np.ndarray:
@@ -74,69 +82,61 @@ def run_projected_gradient(
     rho: float,
     cfg: BilevelConfig | None = None,
 ) -> DesignResult:
-    """Approximate projected gradient descent of obj over the feasible set.
+    """Monotone projected gradient descent of obj over the feasible set.
 
-    Starting from g0's cost matrix (offset by 2*stop_eps*identity so the
-    first loop test passes), each iteration solves the
-    equilibrium, takes an implicit-gradient step of size step_alpha, and
-    projects back onto the feasible set.  Stops when consecutive matrices
-    differ by at most stop_eps in Frobenius norm.
+    Starts at C = P(g0.C), P the projection onto the feasible set, with a cold
+    equilibrium solve.  Each iteration takes the implicit gradient g at C and
+    records (iteration, obj at C, ||P(C - step_alpha*g) - C||); it stops,
+    converged, once that norm is at most stop_eps.  Otherwise an Armijo search
+    along the projection arc C(t) = P(C - t*g) (Bertsekas 1976) halves t from
+    step_alpha, never growing it, until obj(C(t)) <= obj(C) + ARMIJO_SIGMA *
+    <g, C(t) - C>; C(t) is the next iterate.  Trial solves start from the
+    equilibrium of C; an unconverged one raises InnerSolveFailure.
 
-    Each equilibrium solve starts from the previous equilibrium (the first
-    from the uniform strategy).  Raises InnerSolveFailure if a solve does
-    not converge.
-
-    On convergence the final iterate is returned; if the iteration budget
-    runs out, the best iterate seen (lowest objective) is returned with
-    converged=False.  The history records (iteration, objective, step norm)
-    for every iteration.
+    Under sufficient decrease the recorded objective never rises, so the last
+    iterate is the best.  A run ends unconverged at its last iterate when it
+    uses up max_outer_iters or a line search fails after MAX_HALVINGS halvings.
     """
     validate_game(g0)
     cfg = cfg or BilevelConfig()
-    dims = g0.dims
-    m = dims.total
-
-    C = np.array(g0.C, dtype=float)
-    C_next = C + 2.0 * cfg.stop_eps * np.eye(m)
+    C = project_feasible(np.array(g0.C, dtype=float), g0.dims, rho)
+    x = _solve(g0.with_matrix(C), cfg, None, 0)
+    value = obj.value(x)
     history: list[tuple[int, float, float]] = []
-    warm: np.ndarray | None = None
-    best: tuple[float, np.ndarray, np.ndarray] | None = None
-    iteration = 0
-    first = True
 
-    while float(np.linalg.norm(C_next - C)) > cfg.stop_eps and iteration < cfg.max_outer_iters:
-        # The initial offset matrix is not itself feasible; project it once.
-        C = project_feasible(C_next, dims, rho) if first else C_next
-        first = False
-        current = g0.with_matrix(C)
-        outcome = solve_equilibrium(current, cfg.inner, x0=warm)
-        if not outcome.converged:
-            raise InnerSolveFailure(
-                f"equilibrium solve unconverged at outer iteration {iteration} "
-                f"(residual_sq={outcome.residual_sq:.3e})"
-            )
-        warm = outcome.x
-        value = obj.value(outcome.x)
-        if best is None or value < best[0]:
-            best = (value, C.copy(), outcome.x.copy())
-        step = implicit_gradient(current, outcome.x, obj.gradient(outcome.x))
-        C_next = project_feasible(C - cfg.step_alpha * step, dims, rho)
-        iteration += 1
-        history.append((iteration, value, float(np.linalg.norm(C_next - C))))
+    for iteration in range(1, cfg.max_outer_iters + 1):
+        g = implicit_gradient(g0.with_matrix(C), x, obj.gradient(x))
+        t = cfg.step_alpha
+        C_trial = project_feasible(C - t * g, g0.dims, rho)
+        step_norm = float(np.linalg.norm(C_trial - C))
+        history.append((iteration, value, step_norm))
+        if step_norm <= cfg.stop_eps or iteration == cfg.max_outer_iters:
+            break
+        for _ in range(MAX_HALVINGS + 1):
+            x_trial = _solve(g0.with_matrix(C_trial), cfg, x, iteration)
+            value_trial = obj.value(x_trial)
+            if value_trial <= value + ARMIJO_SIGMA * float(np.vdot(g, C_trial - C)):
+                break
+            t *= HALVING
+            C_trial = project_feasible(C - t * g, g0.dims, rho)
+        else:
+            break
+        C, x, value = C_trial, x_trial, value_trial
 
-    # The entry offset guarantees at least one iteration, so history is
-    # never empty and `warm` is the equilibrium of the last solved C.
-    converged = float(np.linalg.norm(C_next - C)) <= cfg.stop_eps
-    if converged:
-        final_C, final_x, final_value = C, warm, history[-1][1]
-    else:
-        final_value, final_C, final_x = best
     return DesignResult(
-        C=final_C,
-        x=final_x,
-        objective_value=final_value,
-        c_norm=float(np.linalg.norm(final_C)),
-        outer_iterations=iteration,
-        converged=converged,
+        C=C,
+        x=x,
+        objective_value=value,
+        c_norm=float(np.linalg.norm(C)),
+        outer_iterations=len(history),
+        converged=history[-1][2] <= cfg.stop_eps,
         history=tuple(history),
     )
+
+
+def _solve(g: Game, cfg: BilevelConfig, warm: np.ndarray | None, iteration: int) -> np.ndarray:
+    outcome = solve_equilibrium(g, cfg.inner, x0=warm)
+    if not outcome.converged:
+        raise InnerSolveFailure(f"equilibrium solve unconverged at outer iteration {iteration} "
+                                f"(residual_sq={outcome.residual_sq:.3e})")
+    return outcome.x

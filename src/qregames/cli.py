@@ -57,8 +57,7 @@ def _load_game_with_overrides(args):
     game = load_game(args.game)
     lam = getattr(args, "lam", None)
     if lam is not None:
-        if lam <= 0:
-            raise InvalidInput("--lambda must be > 0")
+        _check_positive(lam, "--lambda")
         game = type(game)(game.dims, lam, game.b, game.C)
     return game
 
@@ -99,9 +98,9 @@ def _checked(factory, *args, **kwargs):
         raise InvalidInput(str(exc)) from exc
 
 
-def _check_rho(rho: float, flag: str) -> None:
-    if not rho > 0:
-        raise InvalidInput(f"{flag} must be > 0, got {rho!r}")
+def _check_positive(value: float, flag: str) -> None:
+    if not 0 < value < np.inf:
+        raise InvalidInput(f"{flag} must be finite and > 0, got {value!r}")
 
 
 # ---------------------------------------------------------------- solve ----
@@ -130,6 +129,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check(args) -> int:
     game = _load_game_with_overrides(args)
+    if not 0 <= args.tol < np.inf:
+        raise InvalidInput("--tol must be finite and >= 0")
     report = check_assumption(game, tol=args.tol)
     payload = report.to_dict()
     payload["seed"] = args.seed
@@ -172,12 +173,12 @@ def _cmd_design_bilevel(args) -> int:
         obj = _checked(kl_objective, target_x, game.dims, smoothing_delta=args.delta)
     else:
         target_x = None
-        obj = potential_delay_objective(game.dims)
+        obj = _checked(potential_delay_objective, game.dims)
     cfg = _checked(
         BilevelConfig,
         step_alpha=args.alpha, stop_eps=args.stop_eps, max_outer_iters=args.max_outer,
     )
-    _check_rho(args.rho, "--rho")
+    _check_positive(args.rho, "--rho")
     result = run_projected_gradient(game, obj, args.rho, cfg)
     extra = {}
     if target_x is not None:
@@ -192,8 +193,7 @@ def _cmd_design_bilevel(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cost = np.array(_parse_floats(args.cost, "--cost"))
-    if not args.lam > 0:
-        raise InvalidInput("--lambda must be > 0")
+    _check_positive(args.lam, "--lambda")
     if args.samples < 1:
         raise InvalidInput("--samples must be >= 1")
     freq = simulate_gumbel_choice(cost, args.lam, args.samples, args.seed)
@@ -251,6 +251,8 @@ def _fair_adjacency(args):
             data = json.loads(Path(args.adjacency_json).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidInput(f"cannot read adjacency JSON: {exc}") from exc
+        if not isinstance(data, dict) or not all(isinstance(v, list) for v in data.values()):
+            raise InvalidInput("adjacency JSON must map area names to lists of area names")
         return {str(k): tuple(v) for k, v in data.items()}
     return experiments.GRID4_ADJACENCY if args.adjacency == "grid4" else experiments.NO_ADJACENCY
 
@@ -286,7 +288,7 @@ def _cmd_experiment(args) -> int:
             obj_name, chosen = "potential-delay", None
         rho_grid = _parse_floats(args.rho_grid, "--rho-grid")
         for rho in rho_grid:
-            _check_rho(rho, "--rho-grid")
+            _check_positive(rho, "--rho-grid")
         _checked(BilevelConfig, step_alpha=args.alpha, stop_eps=args.stop_eps,
                  max_outer_iters=args.max_outer)
         tasks = [
@@ -374,7 +376,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--delta", type=float, default=KL_SMOOTHING_DEFAULT,
                    help="target smoothing toward uniform")
     p.add_argument("--rho", type=float, required=True, help="Frobenius norm budget")
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--alpha", type=float, default=0.1,
+                   help="first trial step of the line search")
     p.add_argument("--stop-eps", type=float, default=1e-6)
     p.add_argument("--max-outer", type=int, default=5000)
     common(p)
@@ -397,7 +400,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-sweeps", type=int, default=50_000,
                    help="cap on min-norm dual iterations")
     p.add_argument("--delta", type=float, default=KL_SMOOTHING_DEFAULT)
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--alpha", type=float, default=0.1,
+                   help="first trial step of the line search")
     p.add_argument("--stop-eps", type=float, default=1e-6)
     p.add_argument("--max-outer", type=int, default=5000)
     p.add_argument("--adjacency", choices=["none", "grid4"], default="none",

@@ -158,7 +158,9 @@ def sweep_bilevel_rho(
     Row columns: rho, psi_value (objective at the returned equilibrium),
     psi_min (lowest objective recorded over the run), c_norm, kl_to_target
     (when a target strategy is supplied), outer_iters, converged, and the
-    per-area aggregate service totals for the fairness objective.
+    per-area aggregate service totals for the fairness objective.  The
+    line search never lets the objective rise, so psi_min equals psi_value;
+    the column is kept so the CSV layout stays the same.
     """
     cfg = cfg or BilevelConfig()
     with_totals = obj.name == "potential_delay" and g.dims.sizes[0] == len(AREA_NAMES)

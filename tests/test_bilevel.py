@@ -9,6 +9,7 @@ from qregames import (
     DecompositionFailure,
     Game,
     InnerSolveFailure,
+    PerformanceObjective,
     PlayerDims,
     SolverConfig,
     implicit_gradient,
@@ -16,6 +17,7 @@ from qregames import (
     kl_objective,
     kl_to_pure,
     potential_delay_objective,
+    project_feasible,
     pure_to_strategy,
     run_projected_gradient,
     solve_equilibrium,
@@ -23,6 +25,7 @@ from qregames import (
 )
 from qregames.experiments import (
     AREA_NAMES,
+    DEFAULT_RHO_GRID,
     FAIR_HOMES,
     build_collision_game,
     build_fair_game,
@@ -202,3 +205,57 @@ class TestRunProjectedGradient:
         out = solve_equilibrium(game)
         for i, home in enumerate(FAIR_HOMES):
             assert out.x[game.dims.block(i)][AREA_NAMES.index(home)] >= 0.99
+
+
+@pytest.fixture(scope="module")
+def paper_rows():
+    """Both scenarios' projected-gradient runs over the default radius grid."""
+    collision, target = build_collision_game()
+    fair = build_fair_game()
+    cases = [
+        ("collision", collision, kl_objective(pure_to_strategy(target, collision.dims),
+                                              collision.dims, smoothing_delta=1e-3)),
+        ("fair", fair, potential_delay_objective(fair.dims)),
+    ]
+    return {
+        (name, rho): run_projected_gradient(game, obj, rho)
+        for name, game, obj in cases
+        for rho in DEFAULT_RHO_GRID
+    }
+
+
+class TestArmijoLineSearch:
+    def test_paper_rows_converge_monotonically(self, paper_rows):
+        assert len(paper_rows) == 16
+        for key, result in paper_rows.items():
+            assert result.converged, key
+            values = [h[1] for h in result.history]
+            assert all(b <= a for a, b in zip(values, values[1:])), key
+            assert result.objective_value == values[-1]
+
+    def test_fair_rows_reach_the_am_hm_minimum(self, paper_rows):
+        # sum_a 1/total_a >= 9^2 / sum_a total_a = 27 for every strategy
+        for rho in (2.0, 4.0, 7.0):
+            assert 27.0 <= paper_rows[("fair", rho)].objective_value <= 27.0 + 1e-9, rho
+
+    def test_ascent_is_never_accepted(self):
+        game, target = build_collision_game()
+        game = game.with_matrix(5.0 * np.eye(game.dims.total))
+        kl = kl_objective(pure_to_strategy(target, game.dims), game.dims)
+        evaluations = []
+
+        def rising(x):
+            evaluations.append(x)
+            return float(len(evaluations))
+
+        rho = 1.0
+        obj = PerformanceObjective(rising, kl.gradient, "rising")
+        result = run_projected_gradient(game, obj, rho)
+        assert not result.converged
+        assert result.outer_iterations == 1
+        assert len(evaluations) == 2 + qregames.bilevel.MAX_HALVINGS
+        start = project_feasible(game.C, game.dims, rho)
+        assert np.array_equal(result.C, start)
+        assert result.objective_value == 1.0
+        check = solve_equilibrium(game.with_matrix(start), RESOLVE)
+        assert np.abs(check.x - result.x).max() <= 1e-8

@@ -136,6 +136,10 @@ class TestSimulateCommand:
         assert main(["simulate", "--cost", "1,2", "--lambda", "nan"]) == 2
         assert capsys.readouterr().err.startswith("error:InvalidInput:")
 
+    def test_infinite_lambda(self, capsys):
+        assert main(["simulate", "--cost", "1,2", "--lambda", "inf"]) == 2
+        assert capsys.readouterr().err.startswith("error:InvalidInput:")
+
 
 class TestExperimentCommand:
     def test_fair_csv(self, tmp_path):
@@ -208,6 +212,16 @@ class TestDeterminismAndErrors:
         ["design-bilevel", "--objective", "kl", "--target", "3,3,3,3", "--rho", "1",
          "--alpha", "nan"],
         ["solve", "--max-iters", "0"],
+        ["design-bilevel", "--objective", "kl", "--target", "3,3,3,3", "--rho", "1",
+         "--alpha", "inf"],
+        ["design-bilevel", "--objective", "kl", "--target", "3,3,3,3", "--rho", "1",
+         "--stop-eps", "inf"],
+        ["solve", "--lambda", "inf"],
+        ["design-sdp", "--target", "3,3,3,3", "--lambda", "inf"],
+        ["check", "--tol", "nan"],
+        ["check", "--tol", "inf"],
+        ["check", "--tol", "-1"],
+        ["design-bilevel", "--objective", "kl", "--target", "3,3,3,3", "--rho", "inf"],
     ])
     def test_bad_design_flag_value(self, collision_path, argv, capsys):
         assert main(argv[:1] + ["--game", collision_path] + argv[1:]) == 2
@@ -219,12 +233,35 @@ class TestDeterminismAndErrors:
         ["collision-sdp", "--eps-grid", "1", "--max-sweeps", "0"],
         ["fair", "--rho-grid", "nan"],
         ["collision-bilevel", "--rho-grid", "1", "--delta", "2"],
+        ["fair", "--rho-grid", "0.01,1", "--alpha", "inf"],
+        ["collision-bilevel", "--rho-grid", "1", "--stop-eps", "inf"],
+        ["fair", "--rho-grid", "1,inf"],
     ])
     def test_bad_experiment_flag_value(self, argv, tmp_path, capsys):
         out = tmp_path / "rows.csv"
         assert main(["experiment"] + argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:InvalidInput:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("adjacency", [["SW", "S"], {"SW": 5}])
+    def test_malformed_adjacency_json(self, adjacency, tmp_path, capsys):
+        path = tmp_path / "adjacency.json"
+        path.write_text(json.dumps(adjacency))
+        out = tmp_path / "rows.csv"
+        argv = ["experiment", "fair", "--rho-grid", "1", "--adjacency-json", str(path)]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:InvalidInput:")
+        assert not out.exists()
+
+    def test_potential_delay_needs_equal_blocks(self, tmp_path, capsys):
+        path = tmp_path / "unequal.json"
+        path.write_text(json.dumps(
+            {"lambda": 0.5, "dims": [2, 3], "b": [0, 1, 0, 1, 2], "C": [[0] * 5] * 5}
+        ))
+        argv = ["design-bilevel", "--game", str(path), "--objective", "potential-delay",
+                "--rho", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:InvalidInput:")
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
