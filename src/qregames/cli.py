@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from .errors import (
     NonPositiveLambda,
     QreGamesError,
 )
-from .game import PureTarget, check_assumption, game_from_dict, game_to_dict, load_game, pure_to_strategy
+from .game import ASSUMPTION_TOL, PureTarget, check_assumption, load_game, pure_to_strategy
 from .min_norm import MinNormConfig, solve_min_norm_design
 from .objectives import KL_SMOOTHING_DEFAULT, kl_objective, kl_to_pure, potential_delay_objective
 from .results import DesignResult
@@ -45,6 +47,7 @@ _INPUT_ERRORS = (
     IndexOutOfRange,
     NonFiniteInput,
     InvalidGeometry,
+    InfeasibleDetected,
 )
 
 
@@ -216,33 +219,14 @@ def _cmd_simulate(args) -> int:
 # ----------------------------------------------------------- experiment ----
 
 
-def _sdp_row(task: tuple) -> dict:
-    eps, dykstra_tol, max_sweeps = task
-    rows = experiments.sweep_sdp_epsilon(
-        [eps], MinNormConfig(dykstra_tol=dykstra_tol, max_sweeps=max_sweeps)
-    )
-    return rows[0]
-
-
-def _bilevel_row(task: tuple) -> dict:
-    rho, game_dict, obj_name, target_chosen, delta, alpha, stop_eps, max_outer = task
-    game = game_from_dict(game_dict)
-    target_x = None
-    if obj_name == "kl":
-        target_x = pure_to_strategy(PureTarget(target_chosen), game.dims)
-        obj = kl_objective(target_x, game.dims, smoothing_delta=delta)
-    else:
-        obj = potential_delay_objective(game.dims)
-    cfg = BilevelConfig(step_alpha=alpha, stop_eps=stop_eps, max_outer_iters=max_outer)
-    rows = experiments.sweep_bilevel_rho([rho], obj, game, cfg, target=target_x)
-    return rows[0]
-
-
-def _run_rows(tasks: list[tuple], worker, jobs: int) -> list[dict]:
-    if jobs <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
+def _run_rows(worker, values: list, jobs: int) -> list[dict]:
+    # Under fork the pool starts all its processes at the first submit, so
+    # never ask for more than there are rows or cores.
+    workers = min(jobs, len(values), os.cpu_count() or 1)
+    if workers <= 1:
+        return [worker(v) for v in values]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, values))
 
 
 def _fair_adjacency(args):
@@ -259,73 +243,66 @@ def _fair_adjacency(args):
 
 def _cmd_experiment(args) -> int:
     if args.scenario == "collision-sdp":
-        eps_grid = _parse_floats(args.eps_grid, "--eps-grid")
-        for eps in eps_grid:
+        configs = [
             _checked(MinNormConfig, epsilon=eps, dykstra_tol=args.dykstra_tol,
                      max_sweeps=args.max_sweeps)
-        tasks = [(eps, args.dykstra_tol, args.max_sweeps) for eps in eps_grid]
-        rows = _run_rows(tasks, _sdp_row, args.jobs)
-        rows.sort(key=lambda r: r["epsilon"])
-        plot = None
-        if args.plot:
-            good = [r for r in rows if "error" not in r]
-            plot = line_chart(
-                [r["epsilon"] for r in good],
-                [max(r["kl_to_target"], 1e-16) for r in good],
-                "margin epsilon",
-                "divergence from target",
-                "Min-norm design trade-off",
-                log_y=True,
-            )
+            for eps in _parse_floats(args.eps_grid, "--eps-grid")
+        ]
+        rows = _run_rows(experiments.sdp_row, configs, args.jobs)
+        key = "epsilon"
     else:
         if args.scenario == "collision-bilevel":
             game, target = experiments.build_collision_game()
-            obj_name, chosen = "kl", target.chosen
-            _checked(kl_objective, pure_to_strategy(target, game.dims), game.dims,
-                     smoothing_delta=args.delta)
+            target_x = pure_to_strategy(target, game.dims)
+            obj = _checked(kl_objective, target_x, game.dims, smoothing_delta=args.delta)
         else:
             game = experiments.build_fair_game(_fair_adjacency(args), args.homes.split(","))
-            obj_name, chosen = "potential-delay", None
+            target_x = None
+            obj = potential_delay_objective(game.dims)
         rho_grid = _parse_floats(args.rho_grid, "--rho-grid")
         for rho in rho_grid:
             _check_positive(rho, "--rho-grid")
-        _checked(BilevelConfig, step_alpha=args.alpha, stop_eps=args.stop_eps,
-                 max_outer_iters=args.max_outer)
-        tasks = [
-            (rho, game_to_dict(game), obj_name, chosen, args.delta, args.alpha,
-             args.stop_eps, args.max_outer)
-            for rho in rho_grid
-        ]
-        rows = _run_rows(tasks, _bilevel_row, args.jobs)
-        rows.sort(key=lambda r: r["rho"])
-        plot = None
-        if args.plot:
-            good = [r for r in rows if "error" not in r]
-            if args.scenario == "fair":
-                area_series = [
-                    [r[f"total_{name}"] for r in good] for name in experiments.AREA_NAMES
-                ]
-                plot = stacked_bars(
-                    [repr(r["rho"]) for r in good],
-                    area_series,
-                    list(experiments.AREA_NAMES),
-                    "Service per area as the norm budget grows",
-                )
-            else:
-                plot = line_chart(
-                    [r["rho"] for r in good],
-                    [max(r["psi_min"], 1e-16) for r in good],
-                    "norm budget rho",
-                    "best objective found",
-                    "Projected-gradient design trade-off",
-                    log_y=True,
-                )
+        cfg = _checked(BilevelConfig, step_alpha=args.alpha, stop_eps=args.stop_eps,
+                       max_outer_iters=args.max_outer)
+        design_row = functools.partial(experiments.bilevel_row, obj=obj, g=game, cfg=cfg,
+                                       target=target_x)
+        rows = _run_rows(design_row, rho_grid, args.jobs)
+        key = "rho"
+    rows.sort(key=lambda r: r[key])
     for row in rows:
         row["seed"] = args.seed
     _write_text(experiments.rows_to_csv(rows), args.out)
-    if args.plot and plot is not None:
-        Path(args.plot).write_text(plot)
+    if args.plot:
+        Path(args.plot).write_text(_sweep_plot(args.scenario, rows))
     return 3 if any("error" in r for r in rows) else 0
+
+
+def _sweep_plot(scenario: str, rows: list[dict]) -> str:
+    good = [r for r in rows if "error" not in r]
+    if scenario == "collision-sdp":
+        return line_chart(
+            [r["epsilon"] for r in good],
+            [max(r["kl_to_target"], 1e-16) for r in good],
+            "margin epsilon",
+            "divergence from target",
+            "Min-norm design trade-off",
+            log_y=True,
+        )
+    if scenario == "fair":
+        return stacked_bars(
+            [repr(r["rho"]) for r in good],
+            [[r[f"total_{name}"] for r in good] for name in experiments.AREA_NAMES],
+            list(experiments.AREA_NAMES),
+            "Service per area as the norm budget grows",
+        )
+    return line_chart(
+        [r["rho"] for r in good],
+        [max(r["psi_min"], 1e-16) for r in good],
+        "norm budget rho",
+        "best objective found",
+        "Projected-gradient design trade-off",
+        log_y=True,
+    )
 
 
 # ------------------------------------------------------------- parser ------
@@ -344,28 +321,39 @@ def _build_parser() -> _Parser:
         p.add_argument("--lambda", dest="lam", type=float, default=None,
                        help="override the game's noise temperature")
 
+    def min_norm_flags(p):
+        p.add_argument("--dykstra-tol", type=float, default=MinNormConfig.dykstra_tol,
+                       help="stop when the min-norm dual's projected gradient is at most "
+                            "this; it bounds every margin's violation")
+        p.add_argument("--max-sweeps", type=int, default=MinNormConfig.max_sweeps,
+                       help="cap on min-norm dual iterations")
+
+    def bilevel_flags(p):
+        p.add_argument("--delta", type=float, default=KL_SMOOTHING_DEFAULT,
+                       help="target smoothing toward uniform")
+        p.add_argument("--alpha", type=float, default=BilevelConfig.step_alpha,
+                       help="first trial step of the line search")
+        p.add_argument("--stop-eps", type=float, default=BilevelConfig.stop_eps)
+        p.add_argument("--max-outer", type=int, default=BilevelConfig.max_outer_iters)
+
     p = sub.add_parser("solve", help="compute the equilibrium of a game JSON")
     game_input(p)
-    p.add_argument("--residual-tol", type=float, default=1e-10)
-    p.add_argument("--max-iters", type=int, default=200)
+    p.add_argument("--residual-tol", type=float, default=SolverConfig.residual_tol)
+    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     common(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("check", help="report the uniqueness certificate")
     game_input(p)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=ASSUMPTION_TOL)
     common(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("design-sdp", help="min-norm cost design for a pure target")
     game_input(p)
     p.add_argument("--target", required=True, help="comma-separated 1-based action per player")
-    p.add_argument("--epsilon", type=float, default=3.0)
-    p.add_argument("--dykstra-tol", type=float, default=1e-8,
-                   help="stop when the min-norm dual's projected gradient is at most "
-                        "this; it bounds every margin's violation")
-    p.add_argument("--max-sweeps", type=int, default=50_000,
-                   help="cap on min-norm dual iterations")
+    p.add_argument("--epsilon", type=float, default=MinNormConfig.epsilon)
+    min_norm_flags(p)
     common(p)
     p.set_defaults(func=_cmd_design_sdp)
 
@@ -373,13 +361,8 @@ def _build_parser() -> _Parser:
     game_input(p)
     p.add_argument("--objective", choices=["kl", "potential-delay"], required=True)
     p.add_argument("--target", default=None, help="needed for --objective kl")
-    p.add_argument("--delta", type=float, default=KL_SMOOTHING_DEFAULT,
-                   help="target smoothing toward uniform")
     p.add_argument("--rho", type=float, required=True, help="Frobenius norm budget")
-    p.add_argument("--alpha", type=float, default=0.1,
-                   help="first trial step of the line search")
-    p.add_argument("--stop-eps", type=float, default=1e-6)
-    p.add_argument("--max-outer", type=int, default=5000)
+    bilevel_flags(p)
     common(p)
     p.set_defaults(func=_cmd_design_bilevel)
 
@@ -394,23 +377,16 @@ def _build_parser() -> _Parser:
     p.add_argument("scenario", choices=["collision-sdp", "collision-bilevel", "fair"])
     p.add_argument("--eps-grid", default=",".join(map(str, experiments.DEFAULT_EPS_GRID)))
     p.add_argument("--rho-grid", default=",".join(map(str, experiments.DEFAULT_RHO_GRID)))
-    p.add_argument("--dykstra-tol", type=float, default=1e-8,
-                   help="stop when the min-norm dual's projected gradient is at most "
-                        "this; it bounds every margin's violation")
-    p.add_argument("--max-sweeps", type=int, default=50_000,
-                   help="cap on min-norm dual iterations")
-    p.add_argument("--delta", type=float, default=KL_SMOOTHING_DEFAULT)
-    p.add_argument("--alpha", type=float, default=0.1,
-                   help="first trial step of the line search")
-    p.add_argument("--stop-eps", type=float, default=1e-6)
-    p.add_argument("--max-outer", type=int, default=5000)
+    min_norm_flags(p)
+    bilevel_flags(p)
     p.add_argument("--adjacency", choices=["none", "grid4"], default="none",
                    help="fair scenario area map")
     p.add_argument("--adjacency-json", default=None,
                    help="path to a JSON {area: [neighbours...]} map (overrides --adjacency)")
     p.add_argument("--homes", default=",".join(experiments.FAIR_HOMES))
     p.add_argument("--plot", default=None, help="also write an SVG chart here")
-    p.add_argument("--jobs", type=int, default=1, help="parallel sweep rows")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel sweep rows, capped by the row and core counts")
     common(p)
     p.set_defaults(func=_cmd_experiment)
 
@@ -424,9 +400,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"error:{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except InfeasibleDetected as exc:
-        print(f"error:InfeasibleDetected: {exc}", file=sys.stderr)
         return 2
     except InnerSolveFailure as exc:
         print(f"error:InnerSolveFailure: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""The two benchmark scenarios and the parameter sweeps over them.
+"""The two benchmark scenarios, their design rows and the sweeps over them.
 
 Collision avoidance: four rovers each pick one of three paths (a beeline of
 length 2 or one of two semicircles of length pi); with no coupling all four
@@ -8,11 +8,15 @@ equilibrium onto the counterclockwise semicircle for everyone.
 Fair allocation: three delivery companies spread service over nine city
 areas; operating cost is 1.0 in the home area, 1.5 in areas adjacent to
 home, 1.8 elsewhere, and the design goal is equal aggregate service.
+
+`sdp_row` and `bilevel_row` turn one design into one CSV row; the sweeps and
+the CLI's `experiment` command (which may run them in worker processes) share them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -105,43 +109,72 @@ def area_totals(x: np.ndarray, dims: PlayerDims) -> np.ndarray:
     return np.asarray(x, dtype=float).reshape(dims.n, k).sum(axis=0)
 
 
+def sdp_row(cfg: MinNormConfig) -> dict:
+    """Min-norm design of the collision game at one margin, as a CSV row.
+
+    Columns: epsilon, c_norm, kl_smoothed (divergence of the equilibrium from
+    the smoothed target), kl_to_target (divergence of the pure target from
+    the equilibrium, the finite trade-off quantity), max_violation, sweeps,
+    converged.  A failed design gives epsilon and an `error` column instead.
+    """
+    game, target = build_collision_game()
+    row: dict = {"epsilon": float(cfg.epsilon)}
+    try:
+        result = solve_min_norm_design(game, target, cfg)
+    except QreGamesError as exc:
+        row["error"] = f"{type(exc).__name__}: {exc}"
+        return row
+    row.update(
+        c_norm=result.c_norm,
+        kl_smoothed=result.objective_value,
+        kl_to_target=kl_to_pure(result.x, pure_to_strategy(target, game.dims)),
+        max_violation=result.max_violation,
+        sweeps=result.outer_iterations,
+        converged=result.converged,
+    )
+    return row
+
+
+def bilevel_row(rho: float, obj: PerformanceObjective, g: Game, cfg: BilevelConfig | None,
+                target: np.ndarray | None) -> dict:
+    """Projected-gradient design of g at one feasible-set radius, as a CSV row.
+
+    Columns: rho, psi_value (objective at the returned equilibrium), psi_min
+    (lowest objective recorded over the run), c_norm, outer_iters, converged,
+    kl_to_target (when a target strategy is supplied), and the per-area
+    aggregate service totals for the fairness objective.  The line search
+    never lets the objective rise, so psi_min equals psi_value; the column is
+    kept so the CSV layout stays the same.  A failed design gives rho and an
+    `error` column.
+    """
+    row: dict = {"rho": float(rho)}
+    try:
+        result = run_projected_gradient(g, obj, float(rho), cfg)
+    except QreGamesError as exc:
+        row["error"] = f"{type(exc).__name__}: {exc}"
+        return row
+    row.update(
+        psi_value=result.objective_value,
+        psi_min=min(h[1] for h in result.history),
+        c_norm=result.c_norm,
+        outer_iters=result.outer_iterations,
+        converged=result.converged,
+    )
+    if target is not None:
+        row["kl_to_target"] = kl_to_pure(result.x, target)
+    if obj.name == "potential_delay" and g.dims.sizes[0] == len(AREA_NAMES):
+        for name, total in zip(AREA_NAMES, area_totals(result.x, g.dims)):
+            row[f"total_{name}"] = float(total)
+    return row
+
+
 def sweep_sdp_epsilon(
     eps_values: Iterable[float] = DEFAULT_EPS_GRID,
     cfg: MinNormConfig | None = None,
 ) -> list[dict]:
-    """Min-norm design of the collision game per margin value.
-
-    Row columns: epsilon, c_norm, kl_smoothed (divergence of the equilibrium
-    from the smoothed target), kl_to_target (divergence of the pure target from
-    the equilibrium, the finite trade-off quantity), max_violation, sweeps,
-    converged.  Failed rows carry an `error` column instead of results.
-    """
-    game, target = build_collision_game()
-    target_x = pure_to_strategy(target, game.dims)
+    """`sdp_row` per margin value, with the other fields from cfg, by epsilon."""
     base = cfg or MinNormConfig()
-    rows = []
-    for eps in eps_values:
-        row: dict = {"epsilon": float(eps)}
-        try:
-            result = solve_min_norm_design(
-                game,
-                target,
-                MinNormConfig(epsilon=float(eps), dykstra_tol=base.dykstra_tol,
-                              max_sweeps=base.max_sweeps),
-            )
-        except QreGamesError as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
-            rows.append(row)
-            continue
-        row.update(
-            c_norm=result.c_norm,
-            kl_smoothed=result.objective_value,
-            kl_to_target=kl_to_pure(result.x, target_x),
-            max_violation=result.max_violation,
-            sweeps=result.outer_iterations,
-            converged=result.converged,
-        )
-        rows.append(row)
+    rows = [sdp_row(replace(base, epsilon=float(eps))) for eps in eps_values]
     rows.sort(key=lambda r: r["epsilon"])
     return rows
 
@@ -153,39 +186,8 @@ def sweep_bilevel_rho(
     cfg: BilevelConfig | None = None,
     target: np.ndarray | None = None,
 ) -> list[dict]:
-    """Projected-gradient design per feasible-set radius.
-
-    Row columns: rho, psi_value (objective at the returned equilibrium),
-    psi_min (lowest objective recorded over the run), c_norm, kl_to_target
-    (when a target strategy is supplied), outer_iters, converged, and the
-    per-area aggregate service totals for the fairness objective.  The
-    line search never lets the objective rise, so psi_min equals psi_value;
-    the column is kept so the CSV layout stays the same.
-    """
-    cfg = cfg or BilevelConfig()
-    with_totals = obj.name == "potential_delay" and g.dims.sizes[0] == len(AREA_NAMES)
-    rows = []
-    for rho in rho_values:
-        row: dict = {"rho": float(rho)}
-        try:
-            result = run_projected_gradient(g, obj, float(rho), cfg)
-        except QreGamesError as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
-            rows.append(row)
-            continue
-        row.update(
-            psi_value=result.objective_value,
-            psi_min=min(h[1] for h in result.history),
-            c_norm=result.c_norm,
-            outer_iters=result.outer_iterations,
-            converged=result.converged,
-        )
-        if target is not None:
-            row["kl_to_target"] = kl_to_pure(result.x, target)
-        if with_totals:
-            for name, total in zip(AREA_NAMES, area_totals(result.x, g.dims)):
-                row[f"total_{name}"] = float(total)
-        rows.append(row)
+    """`bilevel_row` per feasible-set radius, by rho."""
+    rows = [bilevel_row(rho, obj, g, cfg, target) for rho in rho_values]
     rows.sort(key=lambda r: r["rho"])
     return rows
 

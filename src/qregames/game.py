@@ -48,6 +48,9 @@ class PlayerDims:
             raise DimensionMismatch(f"need n >= 1 players with m_i >= 1 actions, got {sizes}")
         object.__setattr__(self, "sizes", sizes)
 
+    def __reduce__(self):  # unpickled cached index arrays would be writable
+        return PlayerDims, (self.sizes,)
+
     @property
     def n(self) -> int:
         return len(self.sizes)
@@ -116,6 +119,9 @@ class Game:
         object.__setattr__(self, "lam", float(lam))
         object.__setattr__(self, "b", _frozen_array(b, (m,), "b"))
         object.__setattr__(self, "C", _frozen_array(C, (m, m), "C"))
+
+    def __reduce__(self):  # through __init__, so an unpickled copy stays read-only
+        return Game, (self.dims, self.lam, self.b, self.C)
 
     def with_matrix(self, C) -> "Game":
         """Same game with a different cost matrix."""
@@ -242,16 +248,19 @@ def game_from_dict(d: dict) -> Game:
     for key in ("lambda", "dims", "b", "C"):
         if key not in d:
             raise InvalidInput(f"game JSON missing key {key!r}")
-    dims = PlayerDims(d["dims"])
+    try:
+        dims = PlayerDims(d["dims"])
+        b = np.asarray(d["b"], dtype=float)
+        C = np.asarray(d["C"], dtype=float)
+        finite = math.isfinite(d["lambda"]) and np.all(np.isfinite(b)) and np.all(np.isfinite(C))
+    except (TypeError, ValueError) as exc:  # a string, a ragged list or a scalar in place of a list
+        raise InvalidInput(f"malformed game JSON: {exc}") from exc
     m = dims.total
-    b = np.asarray(d["b"], dtype=float)
     if b.shape != (m,):
         raise InvalidInput(f"b has length {b.size}, expected {m}")
-    rows = d["C"]
-    if len(rows) != m or any(len(r) != m for r in rows):
+    if C.shape != (m, m):
         raise InvalidInput(f"C must be {m} rows of {m} numbers")
-    C = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(b)) or not np.all(np.isfinite(C)) or not math.isfinite(d["lambda"]):
+    if not finite:
         raise InvalidInput("game JSON contains non-finite numbers")
     g = Game(dims, d["lambda"], b, C)
     validate_game(g)
@@ -262,7 +271,11 @@ def load_game(path: str | Path) -> Game:
     try:
         with open(path) as fh:
             data = json.load(fh, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except FileNotFoundError:  # reported as such, not as malformed input
+        raise
+    except OSError as exc:
+        raise InvalidInput(f"cannot read game JSON: {exc}") from exc
+    except ValueError as exc:  # json.JSONDecodeError, or bytes that are not text
         raise InvalidInput(f"malformed game JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidInput("game JSON must be an object")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -17,6 +18,7 @@ KL_SMOOTHING_DEFAULT = 1e-3
 
 @dataclass(frozen=True)
 class PerformanceObjective:
+    # The built-in objectives are partials of module-level functions, so they pickle.
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     name: str
@@ -53,16 +55,19 @@ def kl_objective(
     if not 0 <= smoothing_delta <= 1:
         raise ValueError("smoothing_delta must lie in [0, 1]")
     log_t = np.log(smooth_target(target, dims, smoothing_delta))
+    return PerformanceObjective(
+        value=partial(_kl_value, log_t), gradient=partial(_kl_gradient, log_t), name="kl"
+    )
 
-    def value(x: np.ndarray) -> float:
-        x = _require_positive(x)
-        return float(x @ (np.log(x) - log_t))
 
-    def gradient(x: np.ndarray) -> np.ndarray:
-        x = _require_positive(x)
-        return np.log(x) - log_t + 1.0
+def _kl_value(log_t: np.ndarray, x: np.ndarray) -> float:
+    x = _require_positive(x)
+    return float(x @ (np.log(x) - log_t))
 
-    return PerformanceObjective(value=value, gradient=gradient, name="kl")
+
+def _kl_gradient(log_t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    x = _require_positive(x)
+    return np.log(x) - log_t + 1.0
 
 
 def kl_to_pure(x: np.ndarray, target: np.ndarray) -> float:
@@ -86,19 +91,20 @@ def potential_delay_objective(dims: PlayerDims) -> PerformanceObjective:
     if len(sizes) != 1:
         raise ValueError("potential delay needs the same action count for every player")
     k = dims.sizes[0]
-
-    def totals(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        t = x.reshape(dims.n, k).sum(axis=0)
-        if np.any(t <= 0):
-            raise ZeroAreaTotal("an area receives zero aggregate service")
-        return t
-
-    def value(x: np.ndarray) -> float:
-        return float(np.sum(1.0 / totals(x)))
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        g = -1.0 / totals(x) ** 2
-        return np.tile(g, dims.n)
-
+    value, gradient = partial(_delay_value, dims.n, k), partial(_delay_gradient, dims.n, k)
     return PerformanceObjective(value=value, gradient=gradient, name="potential_delay")
+
+
+def _area_totals(n: int, k: int, x: np.ndarray) -> np.ndarray:
+    t = np.asarray(x, dtype=float).reshape(n, k).sum(axis=0)
+    if np.any(t <= 0):
+        raise ZeroAreaTotal("an area receives zero aggregate service")
+    return t
+
+
+def _delay_value(n: int, k: int, x: np.ndarray) -> float:
+    return float(np.sum(1.0 / _area_totals(n, k, x)))
+
+
+def _delay_gradient(n: int, k: int, x: np.ndarray) -> np.ndarray:
+    return np.tile(-1.0 / _area_totals(n, k, x) ** 2, n)

@@ -44,8 +44,8 @@ def project_feasible(C: np.ndarray, dims: PlayerDims, rho: float) -> np.ndarray:
     Ball-after-cone is the exact projection onto the intersection because the
     ball is centered at the cone's apex.
     """
-    if not rho > 0:
-        raise ValueError("rho must be > 0")
+    if not 0 < rho < np.inf:
+        raise ValueError("rho must be finite and > 0")
     A = project_cone_sum(C, dims)
     norm = float(np.linalg.norm(A))
     return (rho / max(rho, norm)) * A

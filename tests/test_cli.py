@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qregames import cli
 from qregames.cli import main
 from qregames.experiments import build_collision_game, build_fair_game
 from qregames.game import game_to_dict, save_game
@@ -161,13 +162,46 @@ class TestExperimentCommand:
         header = out.read_text().split("\n")[0].split(",")
         assert header[:4] == ["epsilon", "c_norm", "kl_smoothed", "kl_to_target"]
 
-    def test_jobs_parallel_matches_serial(self, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        ["collision-sdp", "--eps-grid", "1,2,3"],
+        ["collision-bilevel", "--rho-grid", "0.01,1"],
+        ["fair", "--rho-grid", "0.01,1"],
+    ], ids=lambda argv: argv[0])
+    def test_jobs_parallel_matches_serial(self, argv, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["experiment", "collision-sdp", "--eps-grid", "1,2,3",
-                     "--out", str(a), "--jobs", "1"]) == 0
-        assert main(["experiment", "collision-sdp", "--eps-grid", "1,2,3",
-                     "--out", str(b), "--jobs", "3"]) == 0
+        assert main(["experiment"] + argv + ["--out", str(a), "--jobs", "1"]) == 0
+        assert main(["experiment"] + argv + ["--out", str(b), "--jobs", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("jobs, cores, workers", [
+        (5000, 8, 2),  # capped by the two rows
+        (5000, 1, None),  # one core: no pool
+        (5000, None, None),  # core count unknown: no pool
+        (1, 8, None),
+    ])
+    def test_jobs_capped_by_rows_and_cores(self, jobs, cores, workers, monkeypatch, tmp_path):
+        started = []
+
+        class SerialPool:  # records the pool size and starts no process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, values):
+                return map(fn, values)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        out = tmp_path / "rows.csv"
+        assert main(["experiment", "collision-sdp", "--eps-grid", "1,2", "--jobs", str(jobs),
+                     "--out", str(out)]) == 0
+        assert started == ([] if workers is None else [workers])
+        assert len(out.read_text().strip().split("\n")) == 3
 
 
 class TestDeterminismAndErrors:
@@ -185,6 +219,20 @@ class TestDeterminismAndErrors:
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
+        assert main(["solve", "--game", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:InvalidInput:")
+
+    @pytest.mark.parametrize("content", [
+        json.dumps({"lambda": "0.1", "dims": [2], "b": [0, 1], "C": [[0, 0]] * 2}).encode(),
+        b"\xff\xfe not text",
+        None,
+    ], ids=["string-lambda", "binary", "directory"])
+    def test_malformed_game_file(self, content, tmp_path, capsys):
+        path = tmp_path / "game.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
         assert main(["solve", "--game", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:InvalidInput:")
 

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from qregames import InvalidGeometry, check_assumption, solve_equilibrium, stationarity_residual
+from qregames import (
+    InvalidGeometry,
+    PerformanceObjective,
+    ZeroAreaTotal,
+    check_assumption,
+    solve_equilibrium,
+    stationarity_residual,
+)
 from qregames.experiments import (
     AREA_NAMES,
     DEFAULT_RHO_GRID,
@@ -101,6 +108,16 @@ class TestSweeps:
             totals = [row[f"total_{a}"] for a in AREA_NAMES]
             assert sum(totals) == pytest.approx(3.0, abs=1e-9)
         assert rows[1]["psi_min"] <= rows[0]["psi_min"] + 1e-6
+
+    def test_failed_design_gives_an_error_row(self):
+        def no_service(x):
+            raise ZeroAreaTotal("no service")
+
+        game, _ = build_collision_game()
+        obj = PerformanceObjective(value=no_service, gradient=no_service, name="failing")
+        rows = sweep_bilevel_rho([2, 1], obj, game)
+        assert rows == [{"rho": 1.0, "error": "ZeroAreaTotal: no service"},
+                        {"rho": 2.0, "error": "ZeroAreaTotal: no service"}]
 
     def test_bilevel_rows_satisfy_stationarity(self):
         game, target = build_collision_game()

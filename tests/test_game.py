@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -126,7 +127,8 @@ class TestBlocks:
         dims = PlayerDims([1, 4, 2, 7])
         assert dims.starts.tolist() == [0, 1, 5, 7]
         assert dims.owner.tolist() == [0, 1, 1, 1, 1, 2, 2, 3, 3, 3, 3, 3, 3, 3]
-        for arr in (dims.starts, dims.owner):
+        copy = pickle.loads(pickle.dumps(dims))  # pickled after the arrays were cached
+        for arr in (dims.starts, dims.owner, copy.starts, copy.owner):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 5
@@ -157,6 +159,19 @@ class TestGameJson:
         with pytest.raises(InvalidInput):
             game_from_dict(d)
 
+    @pytest.mark.parametrize("key, value", [
+        ("b", ["x", 1]),
+        ("dims", "ab"),
+        ("C", 5),
+        ("lambda", "0.1"),
+        ("C", [[0, 0], [0, "y"]]),
+    ])
+    def test_rejects_malformed_values(self, key, value):
+        d = game_to_dict(make_game(sizes=(2,)))
+        d[key] = value
+        with pytest.raises(InvalidInput):
+            game_from_dict(d)
+
     def test_rejects_nan_and_inf(self, tmp_path):
         d = game_to_dict(make_game(sizes=(2,)))
         text = json.dumps(d).replace("0.0", "NaN", 1)
@@ -170,7 +185,8 @@ class TestGameJson:
 
     def test_game_arrays_immutable(self):
         g = make_game()
-        with pytest.raises(ValueError):
-            g.b[0] = 1.0
-        with pytest.raises(ValueError):
-            g.C[0, 0] = 1.0
+        for game in (g, pickle.loads(pickle.dumps(g))):
+            with pytest.raises(ValueError):
+                game.b[0] = 1.0
+            with pytest.raises(ValueError):
+                game.C[0, 0] = 1.0

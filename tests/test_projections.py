@@ -100,5 +100,6 @@ class TestProjectFeasible:
             assert np.abs(P2 - P).max() <= 1e-10
 
     def test_rejects_bad_radius(self):
-        with pytest.raises(ValueError):
-            project_feasible(np.eye(2), PlayerDims([2]), rho=0.0)
+        for rho in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                project_feasible(np.eye(2), PlayerDims([2]), rho=rho)
