@@ -100,12 +100,13 @@ def run_projected_gradient(
     validate_game(g0)
     cfg = cfg or BilevelConfig()
     C = project_feasible(np.array(g0.C, dtype=float), g0.dims, rho)
-    x = _solve(g0.with_matrix(C), cfg, None, 0)
+    game = g0.with_matrix(C)
+    x = _solve(game, cfg, None, 0)
     value = obj.value(x)
     history: list[tuple[int, float, float]] = []
 
     for iteration in range(1, cfg.max_outer_iters + 1):
-        g = implicit_gradient(g0.with_matrix(C), x, obj.gradient(x))
+        g = implicit_gradient(game, x, obj.gradient(x))
         t = cfg.step_alpha
         C_trial = project_feasible(C - t * g, g0.dims, rho)
         step_norm = float(np.linalg.norm(C_trial - C))
@@ -113,7 +114,8 @@ def run_projected_gradient(
         if step_norm <= cfg.stop_eps or iteration == cfg.max_outer_iters:
             break
         for _ in range(MAX_HALVINGS + 1):
-            x_trial = _solve(g0.with_matrix(C_trial), cfg, x, iteration)
+            game_trial = g0.with_matrix(C_trial)
+            x_trial = _solve(game_trial, cfg, x, iteration)
             value_trial = obj.value(x_trial)
             if value_trial <= value + ARMIJO_SIGMA * float(np.vdot(g, C_trial - C)):
                 break
@@ -121,7 +123,7 @@ def run_projected_gradient(
             C_trial = project_feasible(C - t * g, g0.dims, rho)
         else:
             break
-        C, x, value = C_trial, x_trial, value_trial
+        game, C, x, value = game_trial, C_trial, x_trial, value_trial
 
     return DesignResult(
         C=C,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -244,10 +245,29 @@ def game_to_dict(g: Game) -> dict:
     }
 
 
+def _is_number(v) -> bool:
+    # bool is an int subclass, but JSON's true/false are not numbers
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_count(v) -> bool:
+    return _is_number(v) and (isinstance(v, numbers.Integral) or float(v).is_integer())
+
+
+def _holds_bool(v) -> bool:
+    return isinstance(v, bool) or (isinstance(v, list) and any(_holds_bool(e) for e in v))
+
+
 def game_from_dict(d: dict) -> Game:
     for key in ("lambda", "dims", "b", "C"):
         if key not in d:
             raise InvalidInput(f"game JSON missing key {key!r}")
+    if not _is_number(d["lambda"]):
+        raise InvalidInput(f"lambda must be a number, got {d['lambda']!r}")
+    if not isinstance(d["dims"], list) or not all(_is_count(s) for s in d["dims"]):
+        raise InvalidInput(f"dims must be a list of whole numbers, got {d['dims']!r}")
+    if _holds_bool(d["b"]) or _holds_bool(d["C"]):
+        raise InvalidInput("b and C must hold numbers, not true or false")
     try:
         dims = PlayerDims(d["dims"])
         b = np.asarray(d["b"], dtype=float)

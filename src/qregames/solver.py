@@ -9,7 +9,8 @@ holds the zero is unique, and x = f(-y/lam) is the equilibrium.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,8 +27,8 @@ class SolverConfig:
     max_backtracks: int = 40
 
     def __post_init__(self):
-        if not self.residual_tol > 0:
-            raise ValueError("residual_tol must be > 0")
+        if not 0 < self.residual_tol < np.inf:
+            raise ValueError("residual_tol must be finite and > 0")
         if self.max_iters < 1 or self.max_backtracks < 1:
             raise ValueError("max_iters and max_backtracks must be >= 1")
         if not 0 < self.armijo_c < 1 or not 0 < self.backtrack_factor < 1:
@@ -36,11 +37,24 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveOutcome:
+    """The last iterate of a solve, its residual and whether it converged.
+
+    `certified` says whether the solved game passes the uniqueness
+    certificate, so that x is *the* equilibrium.  It is a property of the
+    game, not of the solve, and costs an O(m^3) eigendecomposition of
+    C + C^T; it is computed on first read and kept, so a caller that never
+    reads it never pays for it.
+    """
+
     x: np.ndarray
     residual_sq: float
     iterations: int
     converged: bool
-    certified: bool  # uniqueness certificate held, so this is *the* equilibrium
+    _game: Game = field(repr=False, compare=False)
+
+    @cached_property
+    def certified(self) -> bool:
+        return check_assumption(self._game).passed
 
 
 def blockwise_softmax(u: np.ndarray, dims) -> np.ndarray:
@@ -128,13 +142,13 @@ def solve_equilibrium(
     `residual_tol`; `residual_sq` reports the first.  The second is the
     first-order condition: b + Cx + lam ln x equals -R plus a constant per
     block, so it bounds the error of log x even in exponentially small
-    entries.  Returns the last iterate.  If the uniqueness certificate fails
-    the solve still runs, but the outcome is flagged `certified=False`;
-    should H then turn singular, the solve stops there, unconverged.
+    entries.  Returns the last iterate.  The solve does not check the
+    uniqueness certificate: it runs on any game with lam > 0, and the
+    outcome's `certified` checks it on first read.  On an uncertified game H
+    can turn singular; the solve then stops there, unconverged.
     """
     validate_game(g)
     cfg = cfg or SolverConfig()
-    certified = check_assumption(g).passed
     dims = g.dims
     x = uniform_strategy(dims) if x0 is None else np.asarray(x0, dtype=float)
     if x.shape != (dims.total,):
@@ -149,7 +163,7 @@ def solve_equilibrium(
         r = p - logit_response(g, p)
         rsq = float(r @ r)
         return SolveOutcome(x=p, residual_sq=rsq, iterations=iterations,
-                            converged=max(rsq, Rsq) <= cfg.residual_tol, certified=certified)
+                            converged=max(rsq, Rsq) <= cfg.residual_tol, _game=g)
 
     y = perceived_cost(g, x)
     if not np.all(np.isfinite(y)):

@@ -40,6 +40,14 @@ class TestSolveCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["certified"] is True
 
+    def test_uncertified_game_reported(self, tmp_path, capsys):
+        # C + C^T = -2I fails the certificate; the solve still converges
+        path = tmp_path / "uncertified.json"
+        path.write_text(json.dumps({"lambda": 1.0, "dims": [2], "b": [0, 0], "C": [[-1, 0], [0, -1]]}))
+        assert main(["solve", "--game", str(path)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["certified"] is False and data["converged"] is True
+
     def test_lambda_override(self, collision_path, capsys):
         assert main(["solve", "--game", collision_path, "--lambda", "10"]) == 0
         x = json.loads(capsys.readouterr().out)["x"]
@@ -226,7 +234,13 @@ class TestDeterminismAndErrors:
         json.dumps({"lambda": "0.1", "dims": [2], "b": [0, 1], "C": [[0, 0]] * 2}).encode(),
         b"\xff\xfe not text",
         None,
-    ], ids=["string-lambda", "binary", "directory"])
+        json.dumps({"lambda": 0.1, "dims": [2.7], "b": [0, 1], "C": [[0, 0]] * 2}).encode(),
+        json.dumps({"lambda": 0.1, "dims": ["2"], "b": [0, 1], "C": [[0, 0]] * 2}).encode(),
+        json.dumps({"lambda": 0.1, "dims": [True], "b": [0], "C": [[0]]}).encode(),
+        json.dumps({"lambda": True, "dims": [2], "b": [0, 1], "C": [[0, 0]] * 2}).encode(),
+        json.dumps({"lambda": 0.1, "dims": [2], "b": [True, 1], "C": [[0, 0]] * 2}).encode(),
+    ], ids=["string-lambda", "binary", "directory", "fractional-dims", "string-dims",
+            "bool-dims", "bool-lambda", "bool-b"])
     def test_malformed_game_file(self, content, tmp_path, capsys):
         path = tmp_path / "game.json"
         if content is None:
@@ -270,6 +284,7 @@ class TestDeterminismAndErrors:
         ["check", "--tol", "inf"],
         ["check", "--tol", "-1"],
         ["design-bilevel", "--objective", "kl", "--target", "3,3,3,3", "--rho", "inf"],
+        ["solve", "--residual-tol", "inf"],
     ])
     def test_bad_design_flag_value(self, collision_path, argv, capsys):
         assert main(argv[:1] + ["--game", collision_path] + argv[1:]) == 2

@@ -165,12 +165,23 @@ class TestGameJson:
         ("C", 5),
         ("lambda", "0.1"),
         ("C", [[0, 0], [0, "y"]]),
+        ("dims", [2.7]),
+        ("dims", ["2"]),
+        ("dims", [True, 1]),
+        ("lambda", True),
+        ("b", [True, 1]),
+        ("C", [[0, False], [0, 0]]),
     ])
     def test_rejects_malformed_values(self, key, value):
         d = game_to_dict(make_game(sizes=(2,)))
         d[key] = value
         with pytest.raises(InvalidInput):
             game_from_dict(d)
+
+    def test_accepts_whole_float_dims(self):
+        d = game_to_dict(make_game(sizes=(2,)))
+        d["dims"] = [2.0]
+        assert game_from_dict(d).dims.sizes == (2,)
 
     def test_rejects_nan_and_inf(self, tmp_path):
         d = game_to_dict(make_game(sizes=(2,)))

@@ -1,6 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
 
+import qregames.solver
 from qregames import (
     DimensionMismatch,
     Game,
@@ -9,14 +12,18 @@ from qregames import (
     NonPositiveStrategy,
     PlayerDims,
     SolverConfig,
+    check_assumption,
+    kl_objective,
     logit_response,
+    pure_to_strategy,
     response_jacobian,
     simulate_gumbel_choice,
     solve_equilibrium,
+    solve_min_norm_design,
     stationarity_residual,
     uniform_strategy,
 )
-from qregames.experiments import build_collision_game
+from qregames.experiments import bilevel_row, build_collision_game
 
 from conftest import damped_fixed_point, random_certified_game, random_interior_strategy
 
@@ -231,6 +238,68 @@ class TestSolveEquilibrium:
         assert not out.converged
         assert out.iterations == 2
         assert np.isfinite(out.residual_sq)
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
+    def test_residual_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError):
+            SolverConfig(residual_tol=tol)
+
+
+@pytest.fixture
+def certificate_calls(monkeypatch):
+    """Count the solver module's calls of check_assumption."""
+    calls = []
+
+    def counted(g, *args, **kwargs):
+        calls.append(g)
+        return check_assumption(g, *args, **kwargs)
+
+    monkeypatch.setattr(qregames.solver, "check_assumption", counted)
+    return calls
+
+
+class TestCertificateOnRead:
+    def test_design_routes_never_check(self, certificate_calls):
+        game, target = build_collision_game()
+        out = solve_equilibrium(game)
+        assert out.converged
+        design = solve_min_norm_design(game, target)
+        assert design.converged
+        obj = kl_objective(pure_to_strategy(target, game.dims), game.dims)
+        row = bilevel_row(0.01, obj, game, None, None)
+        assert row["converged"] and row["outer_iters"] > 1
+        assert certificate_calls == []
+
+    def test_first_read_checks_once(self, certificate_calls):
+        game, _ = build_collision_game()
+        out = solve_equilibrium(game)
+        assert out.certified is True
+        assert certificate_calls == [game]
+        assert out.certified is True
+        assert len(certificate_calls) == 1
+
+    @pytest.mark.parametrize("g, x0", [
+        (build_collision_game()[0], None),
+        (single_player_game([0.0, 0.0], C=-np.eye(2)), None),
+        (single_player_game([0.5, 0.0], C=-2.0 * np.eye(2)), np.array([0.625, 0.375])),
+    ], ids=["certified", "uncertified", "singular"])
+    def test_matches_check_assumption(self, g, x0):
+        assert solve_equilibrium(g, x0=x0).certified == check_assumption(g).passed
+
+    @pytest.mark.parametrize("read_first", [True, False])
+    def test_pickled_outcome_keeps_value(self, read_first):
+        for g in (build_collision_game()[0], single_player_game([0.0, 0.0], C=-np.eye(2))):
+            out = solve_equilibrium(g)
+            if read_first:
+                out.certified
+            copy = pickle.loads(pickle.dumps(out))
+            assert copy.certified == check_assumption(g).passed
+            assert np.array_equal(copy.x, out.x) and copy.iterations == out.iterations
+
+    def test_repr_leaves_out_the_game(self):
+        assert "_game" not in repr(solve_equilibrium(build_collision_game()[0]))
 
 
 class TestStationarity:
