@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DecompositionFailure, InnerSolveFailure
-from .game import Game, validate_game
+from .game import Game, _check_length, _whole
 from .objectives import PerformanceObjective
 from .projections import project_feasible
 from .results import DesignResult
@@ -39,6 +39,9 @@ class BilevelConfig:
     inner: SolverConfig = field(default_factory=lambda: INNER_SOLVER_DEFAULT)
 
     def __post_init__(self):
+        object.__setattr__(
+            self, "max_outer_iters", _whole(self.max_outer_iters, "max_outer_iters", ValueError)
+        )
         if not 0 < self.step_alpha < np.inf or not 0 < self.stop_eps < np.inf:
             raise ValueError("step_alpha and stop_eps must be finite and > 0")
         if self.max_outer_iters < 1:
@@ -66,6 +69,7 @@ def implicit_gradient(g: Game, x: np.ndarray, grad_psi_x: np.ndarray) -> np.ndar
     x = np.asarray(x, dtype=float)
     grad_psi_x = np.asarray(grad_psi_x, dtype=float)
     dims = g.dims
+    _check_length(x, dims)
     if grad_psi_x.shape != (dims.total,):
         raise ValueError(f"gradient has shape {grad_psi_x.shape}, expected ({dims.total},)")
     Ju_v = x * (grad_psi_x - np.add.reduceat(x * grad_psi_x, dims.starts)[dims.owner])
@@ -97,7 +101,6 @@ def run_projected_gradient(
     iterate is the best.  A run ends unconverged at its last iterate when it
     uses up max_outer_iters or a line search fails after MAX_HALVINGS halvings.
     """
-    validate_game(g0)
     cfg = cfg or BilevelConfig()
     C = project_feasible(np.array(g0.C, dtype=float), g0.dims, rho)
     game = g0.with_matrix(C)

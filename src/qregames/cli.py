@@ -86,13 +86,6 @@ def _parse_floats(text: str, flag: str) -> list[float]:
     return values
 
 
-def _parse_ints(text: str, flag: str) -> list[int]:
-    values = _parse_floats(text, flag)
-    if not all(v.is_integer() for v in values):
-        raise InvalidInput(f"{flag} expects comma-separated integers, got {text!r}")
-    return [int(v) for v in values]
-
-
 def _checked(factory, *args, **kwargs):
     """Build a config or objective, reporting a rejected value as bad input."""
     try:
@@ -154,7 +147,7 @@ def _design_payload(result: DesignResult, seed: int, extra: dict | None = None) 
 
 def _cmd_design_sdp(args) -> int:
     game = _load_game_with_overrides(args)
-    target = PureTarget(_parse_ints(args.target, "--target"))
+    target = PureTarget(_parse_floats(args.target, "--target"))
     cfg = _checked(
         MinNormConfig,
         epsilon=args.epsilon, dykstra_tol=args.dykstra_tol, max_sweeps=args.max_sweeps,
@@ -171,7 +164,7 @@ def _cmd_design_bilevel(args) -> int:
     if args.objective == "kl":
         if args.target is None:
             raise InvalidInput("--objective kl requires --target")
-        target = PureTarget(_parse_ints(args.target, "--target"))
+        target = PureTarget(_parse_floats(args.target, "--target"))
         target_x = pure_to_strategy(target, game.dims)
         obj = _checked(kl_objective, target_x, game.dims, smoothing_delta=args.delta)
     else:

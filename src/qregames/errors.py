@@ -10,7 +10,7 @@ class DimensionMismatch(QreGamesError):
 
 
 class NonPositiveLambda(QreGamesError):
-    """The noise temperature must be strictly positive."""
+    """The noise temperature must be finite and > 0."""
 
 
 class IndexOutOfRange(QreGamesError):
@@ -61,4 +61,6 @@ class InnerSolveFailure(QreGamesError):
 
 
 class InvalidInput(QreGamesError):
-    """Malformed JSON input or command-line value."""
+    """Malformed JSON input or command-line value, or a constructor argument
+    of the wrong kind: a count or action that is not a whole number, or a
+    lambda that is not a real number (true/false count as neither)."""

@@ -37,6 +37,28 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _whole(v, what: str, error: type[Exception]) -> int:
+    """v as an int if it is a whole number (2.0 is, True and "2" are not), else raise."""
+    if isinstance(v, numbers.Real) and not isinstance(v, bool) and (
+        isinstance(v, numbers.Integral) or float(v).is_integer()
+    ):
+        return int(v)
+    raise error(f"{what} must be a whole number, got {v!r}")
+
+
+def _check_lambda(lam) -> None:
+    # float first: with_matrix runs this per design trial, and the ABC test is over 10x slower
+    if not isinstance(lam, float) and (isinstance(lam, bool) or not isinstance(lam, numbers.Real)):
+        raise InvalidInput(f"lambda must be a real number, got {lam!r}")
+    if not 0 < lam < math.inf:
+        raise NonPositiveLambda(f"lambda must be finite and > 0, got {lam}")
+
+
+def _check_length(x: np.ndarray, dims: "PlayerDims", what: str = "strategy") -> None:
+    if x.shape != (dims.total,):
+        raise DimensionMismatch(f"{what} has shape {x.shape}, expected ({dims.total},)")
+
+
 @dataclass(frozen=True)
 class PlayerDims:
     """Actions per player, with block offsets and index arrays computed once."""
@@ -44,7 +66,7 @@ class PlayerDims:
     sizes: tuple[int, ...]
 
     def __init__(self, sizes: Iterable[int]):
-        sizes = tuple(int(s) for s in sizes)
+        sizes = tuple(_whole(s, "action count", InvalidInput) for s in sizes)
         if len(sizes) < 1 or any(s < 1 for s in sizes):
             raise DimensionMismatch(f"need n >= 1 players with m_i >= 1 actions, got {sizes}")
         object.__setattr__(self, "sizes", sizes)
@@ -105,8 +127,9 @@ def _frozen_array(a, shape, what: str) -> np.ndarray:
 class Game:
     """One problem instance: dimensions, noise temperature, and cost data.
 
-    Immutable after construction; the arrays are copied and marked read-only
-    so instances can be shared freely between threads.
+    Valid and immutable once constructed: 0 < lam < inf, b and C fit dims,
+    and the arrays are copied and marked read-only so instances can be
+    shared freely between threads.
     """
 
     dims: PlayerDims
@@ -115,6 +138,7 @@ class Game:
     C: np.ndarray
 
     def __init__(self, dims: PlayerDims, lam: float, b, C):
+        _check_lambda(lam)
         m = dims.total
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "lam", float(lam))
@@ -136,7 +160,8 @@ class PureTarget:
     chosen: tuple[int, ...]
 
     def __init__(self, chosen: Iterable[int]):
-        object.__setattr__(self, "chosen", tuple(int(c) for c in chosen))
+        chosen = tuple(_whole(c, "chosen action", InvalidInput) for c in chosen)
+        object.__setattr__(self, "chosen", chosen)
 
 
 @dataclass(frozen=True)
@@ -165,36 +190,37 @@ class AssumptionReport:
 
 
 def validate_game(g: Game) -> None:
-    """Raise unless lambda > 0 (Game's constructor already checks the sizes)."""
-    if not g.lam > 0:
-        raise NonPositiveLambda(f"lambda must be > 0, got {g.lam}")
+    """Raise unless lambda is finite and > 0; a constructed Game always passes."""
+    _check_lambda(g.lam)
+
+
+def _cone_defects(C: np.ndarray, dims: PlayerDims) -> tuple[float, float]:
+    """(smallest eigenvalue of C + C^T, largest Frobenius norm of a diagonal
+    block of C - C^T), the two numbers the uniqueness cone bounds."""
+    try:
+        min_eig = float(np.linalg.eigvalsh(C + C.T)[0])
+    except np.linalg.LinAlgError as exc:
+        raise EigendecompositionFailure(str(exc)) from exc
+    sq = C - C.T
+    sq *= sq
+    blocks = np.add.reduceat(np.add.reduceat(sq, dims.starts, axis=0), dims.starts, axis=1)
+    return min_eig, float(np.sqrt(blocks.diagonal().max()))
 
 
 def check_assumption(g: Game, tol: float = ASSUMPTION_TOL) -> AssumptionReport:
     """Certify uniqueness of the equilibrium.
 
-    Checks lambda > 0, C + C^T positive semidefinite (up to -tol on the
-    smallest eigenvalue), and symmetric diagonal blocks (up to tol in
-    Frobenius norm).  All three together guarantee a unique equilibrium.
+    Checks C + C^T positive semidefinite (up to -tol on the smallest
+    eigenvalue) and symmetric diagonal blocks (up to tol in Frobenius norm).
+    With lambda > 0, which every Game has, the two together guarantee a
+    unique equilibrium; `lambda_ok` is therefore always True.
     """
-    validate_game(g)
-    sym = g.C + g.C.T
-    try:
-        eigs = np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise EigendecompositionFailure(str(exc)) from exc
-    min_eig = float(eigs[0])
-    asym = 0.0
-    for i in range(g.dims.n):
-        blk = g.C[g.dims.block(i), g.dims.block(i)]
-        asym = max(asym, float(np.linalg.norm(blk - blk.T)))
-    lambda_ok = g.lam > 0
-    passed = lambda_ok and min_eig >= -tol and asym <= tol
+    min_eig, asym = _cone_defects(g.C, g.dims)
     return AssumptionReport(
         min_eig_sym=min_eig,
         diag_block_asymmetry=asym,
-        lambda_ok=lambda_ok,
-        passed=passed,
+        lambda_ok=True,
+        passed=min_eig >= -tol and asym <= tol,
         tol=tol,
     )
 
@@ -216,14 +242,13 @@ def uniform_strategy(dims: PlayerDims) -> np.ndarray:
 def check_strategy(x: np.ndarray, dims: PlayerDims, tol: float = SIMPLEX_TOL) -> None:
     """Raise unless every block of x is a probability vector."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (dims.total,):
-        raise DimensionMismatch(f"strategy length {x.shape}, expected ({dims.total},)")
-    if np.any(x < 0):
-        raise DimensionMismatch("strategy has negative entries")
-    for i in range(dims.n):
-        s = float(x[dims.block(i)].sum())
-        if abs(s - 1.0) > tol:
-            raise DimensionMismatch(f"block {i} sums to {s!r}, expected 1")
+    _check_length(x, dims)
+    if not np.all((x >= 0) & np.isfinite(x)):
+        raise DimensionMismatch("strategy has negative or non-finite entries")
+    sums = np.add.reduceat(x, dims.starts)
+    off = np.flatnonzero(np.abs(sums - 1.0) > tol)
+    if off.size:
+        raise DimensionMismatch(f"block {off[0]} sums to {float(sums[off[0]])!r}, expected 1")
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +270,6 @@ def game_to_dict(g: Game) -> dict:
     }
 
 
-def _is_number(v) -> bool:
-    # bool is an int subclass, but JSON's true/false are not numbers
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-def _is_count(v) -> bool:
-    return _is_number(v) and (isinstance(v, numbers.Integral) or float(v).is_integer())
-
-
 def _holds_bool(v) -> bool:
     return isinstance(v, bool) or (isinstance(v, list) and any(_holds_bool(e) for e in v))
 
@@ -262,11 +278,9 @@ def game_from_dict(d: dict) -> Game:
     for key in ("lambda", "dims", "b", "C"):
         if key not in d:
             raise InvalidInput(f"game JSON missing key {key!r}")
-    if not _is_number(d["lambda"]):
-        raise InvalidInput(f"lambda must be a number, got {d['lambda']!r}")
-    if not isinstance(d["dims"], list) or not all(_is_count(s) for s in d["dims"]):
-        raise InvalidInput(f"dims must be a list of whole numbers, got {d['dims']!r}")
-    if _holds_bool(d["b"]) or _holds_bool(d["C"]):
+    if not isinstance(d["dims"], list):
+        raise InvalidInput(f"dims must be a list, got {d['dims']!r}")
+    if _holds_bool(d["b"]) or _holds_bool(d["C"]):  # numpy would read them as 1 and 0
         raise InvalidInput("b and C must hold numbers, not true or false")
     try:
         dims = PlayerDims(d["dims"])
@@ -282,9 +296,7 @@ def game_from_dict(d: dict) -> Game:
         raise InvalidInput(f"C must be {m} rows of {m} numbers")
     if not finite:
         raise InvalidInput("game JSON contains non-finite numbers")
-    g = Game(dims, d["lambda"], b, C)
-    validate_game(g)
-    return g
+    return Game(dims, d["lambda"], b, C)
 
 
 def load_game(path: str | Path) -> Game:

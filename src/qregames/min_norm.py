@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Game, PlayerDims, PureTarget, pure_to_strategy, validate_game
+from .game import Game, PlayerDims, PureTarget, _whole, pure_to_strategy
 from .objectives import kl_objective
 from .projections import project_cone_sum
 from .results import DesignResult
@@ -66,6 +66,7 @@ class MinNormConfig:
     max_sweeps: int = 50_000  # cap on dual iterations
 
     def __post_init__(self):
+        object.__setattr__(self, "max_sweeps", _whole(self.max_sweeps, "max_sweeps", ValueError))
         if not 0 <= self.epsilon < math.inf:
             raise ValueError("epsilon must be finite and >= 0")
         if not 0 < self.dykstra_tol < math.inf or self.max_sweeps < 1:
@@ -85,10 +86,10 @@ def build_margin_constraints(
     """
     dims = g.dims
     m = dims.total
-    cols = [dims.flat_index(j, t.chosen[j]) for j in range(dims.n)]
+    cols = np.flatnonzero(pure_to_strategy(t, dims))
     constraints = []
     for i in range(dims.n):
-        row_star = dims.flat_index(i, t.chosen[i])
+        row_star = cols[i]
         for k in range(1, dims.sizes[i] + 1):
             row_k = dims.flat_index(i, k)
             if row_k == row_star:
@@ -120,7 +121,7 @@ def _margin_structure(
     s = C[:, cols].sum(1).
     """
     dims = g.dims
-    cols = np.array([dims.flat_index(j, t.chosen[j]) for j in range(dims.n)], dtype=np.intp)
+    cols = np.flatnonzero(pure_to_strategy(t, dims))  # raises IndexOutOfRange on a bad target
     star = np.repeat(cols, [s - 1 for s in dims.sizes])
     alt = np.setdiff1d(np.arange(dims.total, dtype=np.intp), cols)
     beta = g.b[alt] - g.b[star] - epsilon
@@ -204,7 +205,6 @@ def solve_min_norm_design(
     search could no longer move the multipliers, before the stopping test
     held.
     """
-    validate_game(g)
     cfg = cfg or MinNormConfig()
     C, grad, iterations, converged = _dual_min_norm(
         g.dims, _margin_structure(g, t, cfg.epsilon), cfg.dykstra_tol, cfg.max_sweeps

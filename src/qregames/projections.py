@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EigendecompositionFailure
-from .game import PlayerDims
+from .game import PlayerDims, _cone_defects
 
 
 def project_psd(S: np.ndarray) -> np.ndarray:
@@ -59,14 +59,7 @@ def in_feasible_set(
     ball_tol: float = 1e-9,
     block_tol: float = 1e-10,
 ) -> bool:
-    """Membership test used by diagnostics and tests."""
-    sym_eigs = np.linalg.eigvalsh(0.5 * (C + C.T))
-    if sym_eigs[0] < -eig_tol:
-        return False
-    if np.linalg.norm(C) > rho + ball_tol:
-        return False
-    for i in range(dims.n):
-        blk = C[dims.block(i), dims.block(i)]
-        if np.linalg.norm(blk - blk.T) > block_tol:
-            return False
-    return True
+    """Membership test used by diagnostics and tests; eig_tol bounds (C + C^T)/2."""
+    min_eig, asym = _cone_defects(C, dims)
+    return bool(0.5 * min_eig >= -eig_tol and asym <= block_tol
+                and np.linalg.norm(C) <= rho + ball_tol)

@@ -14,8 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput, NonPositiveLambda, NonPositiveStrategy
-from .game import Game, check_assumption, uniform_strategy, validate_game
+from .errors import NonFiniteInput, NonPositiveStrategy
+from .game import Game, _check_lambda, _check_length, _whole, check_assumption, uniform_strategy
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,8 @@ class SolverConfig:
     max_backtracks: int = 40
 
     def __post_init__(self):
+        for name in ("max_iters", "max_backtracks"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name, ValueError))
         if not 0 < self.residual_tol < np.inf:
             raise ValueError("residual_tol must be finite and > 0")
         if self.max_iters < 1 or self.max_backtracks < 1:
@@ -78,6 +80,8 @@ def logit_response(g: Game, x: np.ndarray) -> np.ndarray:
     Output blocks are strictly positive and sum to one.  Raises
     NonFiniteInput if the cost argument contains NaN or infinity.
     """
+    x = np.asarray(x, dtype=float)
+    _check_length(x, g.dims)
     cost = perceived_cost(g, x)
     if not np.all(np.isfinite(cost)):
         raise NonFiniteInput("cost argument of the response map is not finite")
@@ -147,12 +151,10 @@ def solve_equilibrium(
     outcome's `certified` checks it on first read.  On an uncertified game H
     can turn singular; the solve then stops there, unconverged.
     """
-    validate_game(g)
     cfg = cfg or SolverConfig()
     dims = g.dims
     x = uniform_strategy(dims) if x0 is None else np.asarray(x0, dtype=float)
-    if x.shape != (dims.total,):
-        raise DimensionMismatch(f"x0 has shape {x.shape}, expected ({dims.total},)")
+    _check_length(x, dims, "x0")
 
     def at(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         p = blockwise_softmax(-y / g.lam, dims)
@@ -203,6 +205,7 @@ def stationarity_residual(g: Game, x: np.ndarray) -> float:
     all players.  Requires x strictly positive.
     """
     x = np.asarray(x, dtype=float)
+    _check_length(x, g.dims)
     if np.any(x <= 0):
         raise NonPositiveStrategy("stationarity diagnostic needs strictly positive entries")
     v = perceived_cost(g, x) + g.lam * np.log(x)
@@ -224,8 +227,7 @@ def simulate_gumbel_choice(
     the logit response exactly in distribution.  Deterministic given seed.
     """
     cost = np.asarray(cost, dtype=float)
-    if not lam > 0:
-        raise NonPositiveLambda(f"lambda must be > 0, got {lam}")
+    _check_lambda(lam)
     if not np.all(np.isfinite(cost)):
         raise NonFiniteInput("cost vector is not finite")
     if samples < 1:

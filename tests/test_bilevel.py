@@ -7,6 +7,7 @@ import qregames.bilevel
 from qregames import (
     BilevelConfig,
     DecompositionFailure,
+    DimensionMismatch,
     Game,
     InnerSolveFailure,
     PerformanceObjective,
@@ -100,6 +101,11 @@ class TestImplicitGradient:
         with pytest.raises(ValueError):
             implicit_gradient(g, out.x, np.zeros(3))
 
+    def test_rejects_wrong_strategy_length(self, rng):
+        g = random_certified_game(rng, [2, 2])
+        with pytest.raises(DimensionMismatch):
+            implicit_gradient(g, np.full(3, 0.5), np.zeros(4))
+
     def test_singular_inner_matrix_raises(self):
         # uncertified (C + C^T = -4I): at x = (1/2, 1/2) the softmax Jacobian
         # is [[1, -1], [-1, 1]]/4, so I + J_u C = [[1, 1], [1, 1]]/2 exactly
@@ -142,6 +148,16 @@ class TestInnerSolveRetry:
         with pytest.raises(InnerSolveFailure):
             run_projected_gradient(self.game, self.obj, rho=4.0)
         assert warm_flags == expected_flags
+
+
+class TestBilevelConfig:
+    @pytest.mark.parametrize("value", [1.5, True, "5", np.inf])
+    def test_outer_budget_must_be_whole(self, value):
+        with pytest.raises(ValueError):
+            BilevelConfig(max_outer_iters=value)
+
+    def test_whole_float_budget_accepted(self):
+        assert BilevelConfig(max_outer_iters=5.0).max_outer_iters == 5
 
 
 class TestRunProjectedGradient:

@@ -127,6 +127,11 @@ class TestDesignCommands:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:InvalidInput:")
 
+    @pytest.mark.parametrize("target", ["3,3", "3,3,3,3,3", "3,3,3,4"])
+    def test_design_sdp_target_must_fit_dims(self, collision_path, target, capsys):
+        assert main(["design-sdp", "--game", collision_path, "--target", target]) == 2
+        assert capsys.readouterr().err.startswith("error:IndexOutOfRange:")
+
 
 class TestSimulateCommand:
     def test_frequencies(self, tmp_path):

@@ -51,6 +51,36 @@ class TestValidateGame:
             validate_game(make_game(lam=0.0))
 
 
+class TestConstructorsReject:
+    @pytest.mark.parametrize("sizes", [[2.7], [True], ["2"], [2, np.nan]])
+    def test_non_whole_counts(self, sizes):
+        with pytest.raises(InvalidInput):
+            PlayerDims(sizes)
+
+    def test_whole_float_count_accepted(self):
+        assert PlayerDims([2.0, np.int64(3)]).sizes == (2, 3)
+
+    @pytest.mark.parametrize("chosen", [[2.7], [False], ["1"]])
+    def test_non_whole_target(self, chosen):
+        with pytest.raises(InvalidInput):
+            PureTarget(chosen)
+
+    @pytest.mark.parametrize("lam", [True, "0.1", None])
+    def test_lambda_not_a_number(self, lam):
+        with pytest.raises(InvalidInput):
+            make_game(lam=lam)
+
+    @pytest.mark.parametrize("lam", [0, -1.0, np.inf, np.nan])
+    def test_lambda_out_of_range(self, lam):
+        with pytest.raises(NonPositiveLambda):
+            make_game(lam=lam)
+
+    def test_constructed_game_passes_validation(self):
+        g = make_game(lam=np.float64(0.25))
+        validate_game(g)
+        assert type(g.lam) is float
+
+
 class TestCheckAssumption:
     def test_identity_passes(self):
         rep = check_assumption(make_game(C=np.eye(6), lam=1.0))
@@ -83,6 +113,21 @@ class TestCheckAssumption:
             scaled = check_assumption(make_game(C=s * C)).min_eig_sym
             assert scaled == pytest.approx(s * base, rel=1e-12)
 
+    @pytest.mark.parametrize("sizes", [[1], [6], [1, 4, 2, 7], [3, 3, 3, 3], [5, 1, 1]])
+    def test_matches_per_block_reference(self, rng, sizes):
+        dims = PlayerDims(sizes)
+        m = dims.total
+        for _ in range(5):
+            C = rng.normal(size=(m, m))
+            rep = check_assumption(Game(dims, 0.1, np.zeros(m), C))
+            assert rep.min_eig_sym == float(np.linalg.eigvalsh(C + C.T)[0])
+            asym = max(
+                np.linalg.norm(C[dims.block(i), dims.block(i)] - C[dims.block(i), dims.block(i)].T)
+                for i in range(dims.n)
+            )
+            assert rep.diag_block_asymmetry == pytest.approx(asym, rel=1e-14, abs=1e-300)
+            assert rep.lambda_ok
+
 
 class TestPureToStrategy:
     def test_collision_target(self):
@@ -108,6 +153,23 @@ class TestPureToStrategy:
             dims = PlayerDims(sizes)
             chosen = [int(rng.integers(1, s + 1)) for s in sizes]
             check_strategy(pure_to_strategy(PureTarget(chosen), dims), dims)
+
+
+class TestCheckStrategy:
+    @pytest.mark.parametrize("x", [
+        [np.nan, 1.0, 0.5, 0.5],
+        [np.inf, 1.0, 0.5, 0.5],
+        [-np.inf, 1.0, 0.5, 0.5],
+        [-0.5, 1.5, 0.5, 0.5],
+        [1.0, 0.0, 0.5, 0.6],
+        [1.0, 0.0, 0.5],
+    ])
+    def test_rejects(self, x):
+        with pytest.raises(DimensionMismatch):
+            check_strategy(np.array(x), PlayerDims([2, 2]))
+
+    def test_accepts_probability_blocks(self):
+        check_strategy(np.array([1.0, 0.25, 0.25, 0.5, 1.0]), PlayerDims([1, 3, 1]))
 
 
 class TestBlocks:

@@ -5,6 +5,7 @@ import pytest
 
 from qregames import (
     Game,
+    IndexOutOfRange,
     MinNormConfig,
     PlayerDims,
     PureTarget,
@@ -162,6 +163,19 @@ class TestSolveMinNormDesign:
     def test_epsilon_must_be_finite_and_nonnegative(self, epsilon):
         with pytest.raises(ValueError):
             MinNormConfig(epsilon=epsilon)
+
+    @pytest.mark.parametrize("value", [2.5, True, "3", np.nan])
+    def test_max_sweeps_must_be_whole(self, value):
+        with pytest.raises(ValueError):
+            MinNormConfig(max_sweeps=value)
+
+    @pytest.mark.parametrize("chosen", [[1], [1, 1, 1], [1, 3]])
+    def test_target_must_fit_dims(self, chosen):
+        g = Game(PlayerDims([2, 2]), 0.1, np.zeros(4), np.zeros((4, 4)))
+        with pytest.raises(IndexOutOfRange):
+            solve_min_norm_design(g, PureTarget(chosen))
+        with pytest.raises(IndexOutOfRange):
+            build_margin_constraints(g, PureTarget(chosen), epsilon=1.0)
 
 
 def in_cone(C, dims, eig_tol=1e-9, block_tol=1e-10):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qregames import (
+    DimensionMismatch,
     NonPositiveStrategy,
     PlayerDims,
     ZeroAreaTotal,
@@ -26,6 +27,11 @@ def kl_direct(x, t, dims):
 
 
 class TestKlObjective:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_target(self, bad):
+        with pytest.raises(DimensionMismatch):
+            kl_objective(np.array([bad, 1.0, 0.5, 0.5]), PlayerDims([2, 2]))
+
     def test_zero_at_smoothed_target(self, rng):
         dims = PlayerDims([3, 2])
         target = random_interior_strategy(rng, dims)

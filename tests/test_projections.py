@@ -92,6 +92,16 @@ class TestProjectFeasible:
             d_y = np.linalg.norm(Y - C, axis=(1, 2))
             assert np.all(d_y >= d_p - 1e-8)
 
+    def test_membership_matches_per_block_reference(self, rng):
+        dims = PlayerDims([1, 3, 2])
+        for _ in range(20):
+            C = project_feasible(rng.normal(size=(6, 6)), dims, rho=2.0)
+            C += rng.choice([0.0, 1e-8]) * rng.normal(size=(6, 6))
+            for rho in (1.0, 2.0, 3.0):
+                got = in_feasible_set(C, dims, rho)
+                assert type(got) is bool
+                assert got == (cone_member(C, dims) and np.linalg.norm(C) <= rho + 1e-9)
+
     def test_idempotent(self, rng):
         dims = PlayerDims([3, 3])
         for _ in range(10):

@@ -232,6 +232,12 @@ class TestSolveEquilibrium:
         with pytest.raises(DimensionMismatch):
             solve_equilibrium(g, x0=np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("fn", [logit_response, response_jacobian, stationarity_residual])
+    @pytest.mark.parametrize("x", [[0.5, 0.5], [0.25] * 4, [[1 / 3] * 3]])
+    def test_entry_points_reject_wrong_length(self, fn, x):
+        with pytest.raises(DimensionMismatch):
+            fn(single_player_game([0.0, 0.0, 0.0]), np.array(x))
+
     def test_max_iters_returns_best_unconverged(self, rng):
         g = random_certified_game(rng, [4, 4], lam=0.2, coupling=2.0)
         out = solve_equilibrium(g, SolverConfig(residual_tol=1e-30, max_iters=2))
@@ -245,6 +251,17 @@ class TestSolverConfig:
     def test_residual_tol_must_be_finite_and_positive(self, tol):
         with pytest.raises(ValueError):
             SolverConfig(residual_tol=tol)
+
+    @pytest.mark.parametrize("field", ["max_iters", "max_backtracks"])
+    @pytest.mark.parametrize("value", [2.5, True, "3", np.nan])
+    def test_counts_must_be_whole(self, field, value):
+        with pytest.raises(ValueError):
+            SolverConfig(**{field: value})
+
+    def test_whole_float_count_runs(self, rng):
+        g = random_certified_game(rng, [4, 4], lam=0.2, coupling=2.0)
+        cfg = SolverConfig(residual_tol=1e-30, max_iters=2.0)
+        assert cfg.max_iters == 2 and solve_equilibrium(g, cfg).iterations == 2
 
 
 @pytest.fixture
@@ -343,7 +360,7 @@ class TestGumbelChoice:
         assert freq.sum() == pytest.approx(1.0, abs=0.0)
 
     def test_nonpositive_or_nan_lambda_raises(self):
-        for lam in (-0.5, 0.0, float("nan")):
+        for lam in (-0.5, 0.0, float("nan"), float("inf")):
             with pytest.raises(NonPositiveLambda):
                 simulate_gumbel_choice(np.array([0.0, 1.0]), lam, 10_000, seed=0)
 
