@@ -78,7 +78,7 @@ class PlayerDims:
     def n(self) -> int:
         return len(self.sizes)
 
-    @property
+    @cached_property
     def total(self) -> int:
         return sum(self.sizes)
 
@@ -236,7 +236,7 @@ def pure_to_strategy(t: PureTarget, dims: PlayerDims) -> np.ndarray:
 
 
 def uniform_strategy(dims: PlayerDims) -> np.ndarray:
-    return np.concatenate([np.full(s, 1.0 / s) for s in dims.sizes])
+    return 1.0 / np.repeat(dims.sizes, dims.sizes)
 
 
 def check_strategy(x: np.ndarray, dims: PlayerDims, tol: float = SIMPLEX_TOL) -> None:
@@ -287,7 +287,8 @@ def game_from_dict(d: dict) -> Game:
         b = np.asarray(d["b"], dtype=float)
         C = np.asarray(d["C"], dtype=float)
         finite = math.isfinite(d["lambda"]) and np.all(np.isfinite(b)) and np.all(np.isfinite(C))
-    except (TypeError, ValueError) as exc:  # a string, a ragged list or a scalar in place of a list
+    # a string, a ragged list, a scalar in place of a list, or an integer too large for a float
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed game JSON: {exc}") from exc
     m = dims.total
     if b.shape != (m,):

@@ -37,6 +37,9 @@ class SolverConfig:
             raise ValueError("armijo_c and backtrack_factor must lie in (0, 1)")
 
 
+_DEFAULT_CONFIG = SolverConfig()
+
+
 @dataclass(frozen=True)
 class SolveOutcome:
     """The last iterate of a solve, its residual and whether it converged.
@@ -82,8 +85,12 @@ def logit_response(g: Game, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     _check_length(x, g.dims)
-    cost = perceived_cost(g, x)
-    if not np.all(np.isfinite(cost)):
+    return _response_to_cost(g, perceived_cost(g, x))
+
+
+def _response_to_cost(g: Game, cost: np.ndarray) -> np.ndarray:
+    """f(-cost/lam), the one home of the response map's finiteness rule."""
+    if not np.isfinite(cost).all():
         raise NonFiniteInput("cost argument of the response map is not finite")
     return blockwise_softmax(-cost / g.lam, g.dims)
 
@@ -111,6 +118,8 @@ def cost_residual_jacobian(g: Game, x: np.ndarray) -> np.ndarray:
     block structure of J_u, without building it: column j of C J_u, in block
     k, is x_j (C_{:,j} - S_{:,k}) with S_{:,k} = sum over l in block k of
     C_{:,l} x_l, one product of C with the m x n block indicator scaled by x.
+    Blocks are contiguous, so S is spread over them with one contiguous
+    repeat of each column, m_k times.
 
     Under the uniqueness certificate H is nonsingular: det(I + AB) =
     det(I + BA) gives det H = det(I + (1/lam) J_u C) =
@@ -121,7 +130,7 @@ def cost_residual_jacobian(g: Game, x: np.ndarray) -> np.ndarray:
     m = dims.total
     W = np.zeros((m, dims.n))
     W[np.arange(m), dims.owner] = x
-    H = (g.C @ W)[:, dims.owner]
+    H = (g.C @ W).repeat(dims.sizes, axis=1)
     np.subtract(g.C, H, out=H)
     H *= x / g.lam
     H.flat[:: m + 1] += 1.0
@@ -143,7 +152,9 @@ def solve_equilibrium(
     uniform strategy unless given.
 
     Converged means both ||x - f(x)||^2 and ||R||^2 are at most
-    `residual_tol`; `residual_sq` reports the first.  The second is the
+    `residual_tol`; `residual_sq` reports the first, computed from the
+    perceived cost b + Cx that the residual R already formed, so the exit
+    test costs one softmax and no product with C.  The second is the
     first-order condition: b + Cx + lam ln x equals -R plus a constant per
     block, so it bounds the error of log x even in exponentially small
     entries.  Returns the last iterate.  The solve does not check the
@@ -151,35 +162,37 @@ def solve_equilibrium(
     outcome's `certified` checks it on first read.  On an uncertified game H
     can turn singular; the solve then stops there, unconverged.
     """
-    cfg = cfg or SolverConfig()
+    if cfg is None:
+        cfg = _DEFAULT_CONFIG
     dims = g.dims
     x = uniform_strategy(dims) if x0 is None else np.asarray(x0, dtype=float)
     _check_length(x, dims, "x0")
 
-    def at(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    def at(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         p = blockwise_softmax(-y / g.lam, dims)
-        R = y - perceived_cost(g, p)
-        return p, R, float(R @ R)
+        c = perceived_cost(g, p)
+        R = y - c
+        return p, c, R, float(R @ R)
 
-    def outcome(p: np.ndarray, Rsq: float, iterations: int) -> SolveOutcome:
-        r = p - logit_response(g, p)
+    def outcome(p: np.ndarray, c: np.ndarray, Rsq: float, iterations: int) -> SolveOutcome:
+        r = p - _response_to_cost(g, c)
         rsq = float(r @ r)
         return SolveOutcome(x=p, residual_sq=rsq, iterations=iterations,
                             converged=max(rsq, Rsq) <= cfg.residual_tol, _game=g)
 
     y = perceived_cost(g, x)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise NonFiniteInput("starting cost b + C x0 is not finite")
-    x, R, Rsq = at(y)
+    x, c, R, Rsq = at(y)
     for it in range(cfg.max_iters):
         if Rsq <= cfg.residual_tol:
-            out = outcome(x, Rsq, it)
+            out = outcome(x, c, Rsq, it)
             if out.converged:
                 return out
         try:
             step = np.linalg.solve(cost_residual_jacobian(g, x), -R)
         except np.linalg.LinAlgError:
-            return outcome(x, Rsq, it)
+            return outcome(x, c, Rsq, it)
 
         # Armijo backtracking on phi = 0.5 ||R||^2, whose slope along the
         # Gauss-Newton step is R^T H s = -||R||^2; if no trial passes, take
@@ -189,12 +202,12 @@ def solve_equilibrium(
         alpha = 1.0
         for _ in range(cfg.max_backtracks):
             y_try = y + alpha * step
-            x_try, R_try, Rsq_try = at(y_try)
+            x_try, c_try, R_try, Rsq_try = at(y_try)
             if 0.5 * Rsq_try <= phi0 + cfg.armijo_c * alpha * slope:
                 break
             alpha *= cfg.backtrack_factor
-        y, x, R, Rsq = y_try, x_try, R_try, Rsq_try
-    return outcome(x, Rsq, cfg.max_iters)
+        y, x, c, R, Rsq = y_try, x_try, c_try, R_try, Rsq_try
+    return outcome(x, c, Rsq, cfg.max_iters)
 
 
 def stationarity_residual(g: Game, x: np.ndarray) -> float:
@@ -230,6 +243,7 @@ def simulate_gumbel_choice(
     _check_lambda(lam)
     if not np.all(np.isfinite(cost)):
         raise NonFiniteInput("cost vector is not finite")
+    samples = _whole(samples, "samples", ValueError)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     k = cost.shape[0]

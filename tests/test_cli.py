@@ -244,8 +244,10 @@ class TestDeterminismAndErrors:
         json.dumps({"lambda": 0.1, "dims": [True], "b": [0], "C": [[0]]}).encode(),
         json.dumps({"lambda": True, "dims": [2], "b": [0, 1], "C": [[0, 0]] * 2}).encode(),
         json.dumps({"lambda": 0.1, "dims": [2], "b": [True, 1], "C": [[0, 0]] * 2}).encode(),
+        json.dumps({"lambda": 10**400, "dims": [2], "b": [0, 1], "C": [[0, 0]] * 2}).encode(),
+        json.dumps({"lambda": 0.1, "dims": [2], "b": [10**400, 1], "C": [[0, 0]] * 2}).encode(),
     ], ids=["string-lambda", "binary", "directory", "fractional-dims", "string-dims",
-            "bool-dims", "bool-lambda", "bool-b"])
+            "bool-dims", "bool-lambda", "bool-b", "huge-int-lambda", "huge-int-b"])
     def test_malformed_game_file(self, content, tmp_path, capsys):
         path = tmp_path / "game.json"
         if content is None:

@@ -145,6 +145,22 @@ class TestStructuredKernels:
         dense = np.eye(g.dims.total) + (1.0 / g.lam) * g.C @ response_jacobian(g, x0)
         assert np.abs(H - dense).max() <= 1e-12
 
+    def test_exit_test_matches_logit_response(self, rng):
+        # The solver's exit test reuses the cost its residual formed; the
+        # reported residual must be exactly what logit_response gives.
+        g = random_certified_game(rng, self.DIMS.sizes, lam=0.3, coupling=2.0)
+        for x0 in (None, random_interior_strategy(rng, g.dims)):
+            out = solve_equilibrium(g, x0=x0)
+            assert out.converged
+            r = out.x - logit_response(g, out.x)
+            assert out.residual_sq == float(r @ r)
+
+    def test_uniform_strategy_is_exact_per_block(self):
+        x = uniform_strategy(self.DIMS)
+        assert x.shape == (self.DIMS.total,)
+        for i, size in enumerate(self.DIMS.sizes):
+            assert np.array_equal(x[self.DIMS.block(i)], np.full(size, 1.0 / size))
+
     def test_response_jacobian_blocks(self, rng):
         g = random_certified_game(rng, self.DIMS.sizes, lam=0.3)
         x0 = random_interior_strategy(rng, g.dims)
@@ -363,6 +379,16 @@ class TestGumbelChoice:
         for lam in (-0.5, 0.0, float("nan"), float("inf")):
             with pytest.raises(NonPositiveLambda):
                 simulate_gumbel_choice(np.array([0.0, 1.0]), lam, 10_000, seed=0)
+
+    @pytest.mark.parametrize("samples", [2.5, True, "10", 0])
+    def test_samples_must_be_a_whole_positive_number(self, samples):
+        with pytest.raises(ValueError):
+            simulate_gumbel_choice(np.array([0.0, 1.0]), 0.5, samples, seed=0)
+
+    def test_whole_float_samples_run(self):
+        a = simulate_gumbel_choice(np.array([0.0, 1.0]), 0.5, 1000.0, seed=3)
+        b = simulate_gumbel_choice(np.array([0.0, 1.0]), 0.5, 1000, seed=3)
+        assert np.array_equal(a, b)
 
     def test_deterministic_given_seed(self):
         a = simulate_gumbel_choice(np.array([0.5, 1.0]), 0.3, 50_000, seed=42)
