@@ -9,7 +9,8 @@ over the feasible set (uniqueness cone intersected with a Frobenius ball).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,7 +37,7 @@ class BilevelConfig:
     step_alpha: float = 0.1  # first trial step of each iteration's line search
     stop_eps: float = 1e-6  # converged once the step_alpha projected step moves C at most this
     max_outer_iters: int = 5000
-    inner: SolverConfig = field(default_factory=lambda: INNER_SOLVER_DEFAULT)
+    inner: ClassVar[SolverConfig] = INNER_SOLVER_DEFAULT  # fixed, not a field: readable only
 
     def __post_init__(self):
         object.__setattr__(

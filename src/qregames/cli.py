@@ -226,7 +226,7 @@ def _fair_adjacency(args):
     if args.adjacency_json is not None:
         try:
             data = json.loads(Path(args.adjacency_json).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise InvalidInput(f"cannot read adjacency JSON: {exc}") from exc
         if not isinstance(data, dict) or not all(isinstance(v, list) for v in data.values()):
             raise InvalidInput("adjacency JSON must map area names to lists of area names")
@@ -235,6 +235,8 @@ def _fair_adjacency(args):
 
 
 def _cmd_experiment(args) -> int:
+    if args.jobs < 1:
+        raise InvalidInput(f"--jobs must be >= 1, got {args.jobs}")
     if args.scenario == "collision-sdp":
         configs = [
             _checked(MinNormConfig, epsilon=eps, dykstra_tol=args.dykstra_tol,

@@ -239,14 +239,14 @@ def uniform_strategy(dims: PlayerDims) -> np.ndarray:
     return 1.0 / np.repeat(dims.sizes, dims.sizes)
 
 
-def check_strategy(x: np.ndarray, dims: PlayerDims, tol: float = SIMPLEX_TOL) -> None:
+def check_strategy(x: np.ndarray, dims: PlayerDims) -> None:
     """Raise unless every block of x is a probability vector."""
     x = np.asarray(x, dtype=float)
     _check_length(x, dims)
     if not np.all((x >= 0) & np.isfinite(x)):
         raise DimensionMismatch("strategy has negative or non-finite entries")
     sums = np.add.reduceat(x, dims.starts)
-    off = np.flatnonzero(np.abs(sums - 1.0) > tol)
+    off = np.flatnonzero(np.abs(sums - 1.0) > SIMPLEX_TOL)
     if off.size:
         raise DimensionMismatch(f"block {off[0]} sums to {float(sums[off[0]])!r}, expected 1")
 
@@ -280,15 +280,16 @@ def game_from_dict(d: dict) -> Game:
             raise InvalidInput(f"game JSON missing key {key!r}")
     if not isinstance(d["dims"], list):
         raise InvalidInput(f"dims must be a list, got {d['dims']!r}")
-    if _holds_bool(d["b"]) or _holds_bool(d["C"]):  # numpy would read them as 1 and 0
-        raise InvalidInput("b and C must hold numbers, not true or false")
     try:
+        if _holds_bool(d["b"]) or _holds_bool(d["C"]):  # numpy would read them as 1 and 0
+            raise InvalidInput("b and C must hold numbers, not true or false")
         dims = PlayerDims(d["dims"])
         b = np.asarray(d["b"], dtype=float)
         C = np.asarray(d["C"], dtype=float)
         finite = math.isfinite(d["lambda"]) and np.all(np.isfinite(b)) and np.all(np.isfinite(C))
-    # a string, a ragged list, a scalar in place of a list, or an integer too large for a float
-    except (TypeError, ValueError, OverflowError) as exc:
+    # a string, a ragged list, a scalar in place of a list, an integer too large for a
+    # float, or lists nested too deep to walk
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise InvalidInput(f"malformed game JSON: {exc}") from exc
     m = dims.total
     if b.shape != (m,):
@@ -308,7 +309,8 @@ def load_game(path: str | Path) -> Game:
         raise
     except OSError as exc:
         raise InvalidInput(f"cannot read game JSON: {exc}") from exc
-    except ValueError as exc:  # json.JSONDecodeError, or bytes that are not text
+    # json.JSONDecodeError, bytes that are not text, or arrays nested too deep to parse
+    except (ValueError, RecursionError) as exc:
         raise InvalidInput(f"malformed game JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidInput("game JSON must be an object")

@@ -27,7 +27,7 @@ from .game import Game, PlayerDims, PureTarget, _whole, pure_to_strategy
 from .objectives import kl_objective
 from .projections import project_cone_sum
 from .results import DesignResult
-from .solver import SolverConfig, solve_equilibrium
+from .solver import solve_equilibrium
 
 # Nonmonotone Armijo test of the dual iteration: sufficient decrease
 # against the largest of the last ARMIJO_WINDOW dual values, halving the
@@ -193,7 +193,6 @@ def solve_min_norm_design(
     g: Game,
     t: PureTarget,
     cfg: MinNormConfig | None = None,
-    solver: SolverConfig | None = None,
 ) -> DesignResult:
     """Smallest-Frobenius-norm C that makes the target the unique equilibrium.
 
@@ -210,7 +209,7 @@ def solve_min_norm_design(
         g.dims, _margin_structure(g, t, cfg.epsilon), cfg.dykstra_tol, cfg.max_sweeps
     )
     designed = g.with_matrix(C)
-    outcome = solve_equilibrium(designed, solver)
+    outcome = solve_equilibrium(designed)
     target_x = pure_to_strategy(t, g.dims)
     divergence = kl_objective(target_x, g.dims).value(outcome.x)
     return DesignResult(

@@ -17,24 +17,27 @@ import numpy as np
 from .errors import NonFiniteInput, NonPositiveStrategy
 from .game import Game, _check_lambda, _check_length, _whole, check_assumption, uniform_strategy
 
+# Armijo backtracking of the Gauss-Newton step: sufficient-decrease
+# constant, step shrink factor, and the trials before the smallest is taken.
+ARMIJO_C = 1e-4
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 40
+
+# Samples drawn per batch by simulate_gumbel_choice, bounding its memory.
+GUMBEL_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     residual_tol: float = 1e-10  # bound on both ||x - f(x)||^2 and the cost residual ||R||^2
     max_iters: int = 200
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 40
 
     def __post_init__(self):
-        for name in ("max_iters", "max_backtracks"):
-            object.__setattr__(self, name, _whole(getattr(self, name), name, ValueError))
+        object.__setattr__(self, "max_iters", _whole(self.max_iters, "max_iters", ValueError))
         if not 0 < self.residual_tol < np.inf:
             raise ValueError("residual_tol must be finite and > 0")
-        if self.max_iters < 1 or self.max_backtracks < 1:
-            raise ValueError("max_iters and max_backtracks must be >= 1")
-        if not 0 < self.armijo_c < 1 or not 0 < self.backtrack_factor < 1:
-            raise ValueError("armijo_c and backtrack_factor must lie in (0, 1)")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 _DEFAULT_CONFIG = SolverConfig()
@@ -200,12 +203,12 @@ def solve_equilibrium(
         phi0 = 0.5 * Rsq
         slope = -Rsq
         alpha = 1.0
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             y_try = y + alpha * step
             x_try, c_try, R_try, Rsq_try = at(y_try)
-            if 0.5 * Rsq_try <= phi0 + cfg.armijo_c * alpha * slope:
+            if 0.5 * Rsq_try <= phi0 + ARMIJO_C * alpha * slope:
                 break
-            alpha *= cfg.backtrack_factor
+            alpha *= BACKTRACK_FACTOR
         y, x, c, R, Rsq = y_try, x_try, c_try, R_try, Rsq_try
     return outcome(x, c, Rsq, cfg.max_iters)
 
@@ -231,7 +234,6 @@ def simulate_gumbel_choice(
     lam: float,
     samples: int,
     seed: int,
-    _chunk: int = 1 << 16,
 ) -> np.ndarray:
     """Empirical choice frequencies under Gumbel-perturbed costs.
 
@@ -251,7 +253,7 @@ def simulate_gumbel_choice(
     counts = np.zeros(k, dtype=np.int64)
     done = 0
     while done < samples:
-        n = min(_chunk, samples - done)
+        n = min(GUMBEL_CHUNK, samples - done)
         u = rng.random((n, k))
         noise = -lam * np.log(-np.log(u))
         winners = np.argmax(-cost + noise, axis=1)

@@ -22,7 +22,7 @@ def _fmt(v: float) -> str:
 
 def _scale(values: Sequence[float], lo_px: float, hi_px: float, log: bool = False):
     vals = [math.log10(v) if log else v for v in values]
-    vmin, vmax = min(vals), max(vals)
+    vmin, vmax = min(vals, default=0.0), max(vals, default=0.0)  # no points: axes alone
     if vmax - vmin < 1e-300:
         vmax = vmin + 1.0
 

@@ -175,6 +175,14 @@ class TestExperimentCommand:
         header = out.read_text().split("\n")[0].split(",")
         assert header[:4] == ["epsilon", "c_norm", "kl_smoothed", "kl_to_target"]
 
+    def test_plot_of_a_sweep_whose_rows_all_fail(self, tmp_path):
+        out, svg = tmp_path / "rows.csv", tmp_path / "rows.svg"
+        code = main(["experiment", "collision-bilevel", "--rho-grid", "1000", "--alpha", "1000",
+                     "--out", str(out), "--plot", str(svg)])
+        assert code == 3
+        assert "error" in out.read_text().split("\n")[0].split(",")
+        assert svg.read_text().startswith("<svg ") and "<circle" not in svg.read_text()
+
     @pytest.mark.parametrize("argv", [
         ["collision-sdp", "--eps-grid", "1,2,3"],
         ["collision-bilevel", "--rho-grid", "0.01,1"],
@@ -246,8 +254,10 @@ class TestDeterminismAndErrors:
         json.dumps({"lambda": 0.1, "dims": [2], "b": [True, 1], "C": [[0, 0]] * 2}).encode(),
         json.dumps({"lambda": 10**400, "dims": [2], "b": [0, 1], "C": [[0, 0]] * 2}).encode(),
         json.dumps({"lambda": 0.1, "dims": [2], "b": [10**400, 1], "C": [[0, 0]] * 2}).encode(),
+        b'{"lambda": 0.1, "dims": [2], "b": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
     ], ids=["string-lambda", "binary", "directory", "fractional-dims", "string-dims",
-            "bool-dims", "bool-lambda", "bool-b", "huge-int-lambda", "huge-int-b"])
+            "bool-dims", "bool-lambda", "bool-b", "huge-int-lambda", "huge-int-b",
+            "deep-nesting"])
     def test_malformed_game_file(self, content, tmp_path, capsys):
         path = tmp_path / "game.json"
         if content is None:
@@ -306,6 +316,8 @@ class TestDeterminismAndErrors:
         ["fair", "--rho-grid", "0.01,1", "--alpha", "inf"],
         ["collision-bilevel", "--rho-grid", "1", "--stop-eps", "inf"],
         ["fair", "--rho-grid", "1,inf"],
+        ["fair", "--rho-grid", "1", "--jobs", "0"],
+        ["collision-sdp", "--eps-grid", "1", "--jobs", "-3"],
     ])
     def test_bad_experiment_flag_value(self, argv, tmp_path, capsys):
         out = tmp_path / "rows.csv"
@@ -313,10 +325,14 @@ class TestDeterminismAndErrors:
         assert capsys.readouterr().err.startswith("error:InvalidInput:")
         assert not out.exists()
 
-    @pytest.mark.parametrize("adjacency", [["SW", "S"], {"SW": 5}])
+    @pytest.mark.parametrize("adjacency", [
+        ["SW", "S"],
+        {"SW": 5},
+        pytest.param('{"SW": ' + "[" * 100_000 + "]" * 100_000 + "}", id="deep-nesting"),
+    ])
     def test_malformed_adjacency_json(self, adjacency, tmp_path, capsys):
         path = tmp_path / "adjacency.json"
-        path.write_text(json.dumps(adjacency))
+        path.write_text(adjacency if isinstance(adjacency, str) else json.dumps(adjacency))
         out = tmp_path / "rows.csv"
         argv = ["experiment", "fair", "--rho-grid", "1", "--adjacency-json", str(path)]
         assert main(argv + ["--out", str(out)]) == 2

@@ -1,3 +1,4 @@
+import functools
 import json
 import pickle
 
@@ -233,6 +234,7 @@ class TestGameJson:
         ("lambda", True),
         ("b", [True, 1]),
         ("C", [[0, False], [0, 0]]),
+        pytest.param("b", functools.reduce(lambda v, _: [v], range(100_000), 0), id="deep-b"),
     ])
     def test_rejects_malformed_values(self, key, value):
         d = game_to_dict(make_game(sizes=(2,)))

@@ -1,4 +1,7 @@
-"""The public surface: the names `qregames` exports and the fields of a solve."""
+"""The public surface: the names `qregames` exports, the settable fields of
+each config and the fields of a solve."""
+
+import dataclasses
 
 import qregames
 from qregames import solve_equilibrium
@@ -69,3 +72,13 @@ def test_solve_outcome_fields():
     assert out.x.shape == (12,)
     assert isinstance(out.residual_sq, float) and isinstance(out.iterations, int)
     assert out.converged is True and out.certified is True
+
+
+def test_config_fields_are_pinned():
+    def names(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+
+    assert names(qregames.SolverConfig) == ("residual_tol", "max_iters")
+    assert names(qregames.MinNormConfig) == ("epsilon", "dykstra_tol", "max_sweeps")
+    assert names(qregames.BilevelConfig) == ("step_alpha", "stop_eps", "max_outer_iters")
+    assert qregames.BilevelConfig().inner.residual_tol == 1e-20

@@ -268,7 +268,7 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(residual_tol=tol)
 
-    @pytest.mark.parametrize("field", ["max_iters", "max_backtracks"])
+    @pytest.mark.parametrize("field", ["max_iters"])
     @pytest.mark.parametrize("value", [2.5, True, "3", np.nan])
     def test_counts_must_be_whole(self, field, value):
         with pytest.raises(ValueError):
