@@ -1,9 +1,13 @@
 """Command-line interface.
 
 Subcommands: solve, check, design-sdp, design-bilevel, simulate, experiment.
-Exit codes: 0 success; 2 malformed input or an unsatisfiable request; 3
-solver non-convergence (the artifact is still written, flagged
-converged=false); 1 internal error.  Errors go to stderr with the prefix
+`experiment` takes a scenario (collision-sdp, collision-bilevel, fair), and
+its flags follow the scenario name; each scenario accepts only the flags it
+reads.  `--target` and `--delta` apply to `design-bilevel --objective kl`
+only.  Exit codes: 0 success; 2 malformed input or an unsatisfiable request;
+3 solver non-convergence (the artifact is still written, flagged
+converged=false; `experiment` exits 3 when any row is unconverged or
+failed); 1 internal error.  Errors go to stderr with the prefix
 ``error:<kind>:``.  All numeric output keeps full double precision, and
 identical invocations with the same seed produce byte-identical files.
 """
@@ -99,6 +103,25 @@ def _check_positive(value: float, flag: str) -> None:
         raise InvalidInput(f"{flag} must be finite and > 0, got {value!r}")
 
 
+def _min_norm_config(args, epsilon: float) -> MinNormConfig:
+    return _checked(
+        MinNormConfig,
+        epsilon=epsilon, dykstra_tol=args.dykstra_tol, max_sweeps=args.max_sweeps,
+    )
+
+
+def _bilevel_config(args) -> BilevelConfig:
+    return _checked(
+        BilevelConfig,
+        step_alpha=args.alpha, stop_eps=args.stop_eps, max_outer_iters=args.max_outer,
+    )
+
+
+def _kl(args, target_x: np.ndarray, dims):
+    delta = KL_SMOOTHING_DEFAULT if args.delta is None else args.delta
+    return _checked(kl_objective, target_x, dims, smoothing_delta=delta)
+
+
 # ---------------------------------------------------------------- solve ----
 
 
@@ -148,10 +171,7 @@ def _design_payload(result: DesignResult, seed: int, extra: dict | None = None) 
 def _cmd_design_sdp(args) -> int:
     game = _load_game_with_overrides(args)
     target = PureTarget(_parse_floats(args.target, "--target"))
-    cfg = _checked(
-        MinNormConfig,
-        epsilon=args.epsilon, dykstra_tol=args.dykstra_tol, max_sweeps=args.max_sweeps,
-    )
+    cfg = _min_norm_config(args, args.epsilon)
     result = solve_min_norm_design(game, target, cfg)
     target_x = pure_to_strategy(target, game.dims)
     payload = _design_payload(result, args.seed, {"kl_to_target": kl_to_pure(result.x, target_x)})
@@ -166,14 +186,13 @@ def _cmd_design_bilevel(args) -> int:
             raise InvalidInput("--objective kl requires --target")
         target = PureTarget(_parse_floats(args.target, "--target"))
         target_x = pure_to_strategy(target, game.dims)
-        obj = _checked(kl_objective, target_x, game.dims, smoothing_delta=args.delta)
+        obj = _kl(args, target_x, game.dims)
     else:
+        if args.target is not None or args.delta is not None:
+            raise InvalidInput("--target and --delta apply to --objective kl only")
         target_x = None
         obj = _checked(potential_delay_objective, game.dims)
-    cfg = _checked(
-        BilevelConfig,
-        step_alpha=args.alpha, stop_eps=args.stop_eps, max_outer_iters=args.max_outer,
-    )
+    cfg = _bilevel_config(args)
     _check_positive(args.rho, "--rho")
     result = run_projected_gradient(game, obj, args.rho, cfg)
     extra = {}
@@ -239,9 +258,7 @@ def _cmd_experiment(args) -> int:
         raise InvalidInput(f"--jobs must be >= 1, got {args.jobs}")
     if args.scenario == "collision-sdp":
         configs = [
-            _checked(MinNormConfig, epsilon=eps, dykstra_tol=args.dykstra_tol,
-                     max_sweeps=args.max_sweeps)
-            for eps in _parse_floats(args.eps_grid, "--eps-grid")
+            _min_norm_config(args, eps) for eps in _parse_floats(args.eps_grid, "--eps-grid")
         ]
         rows = _run_rows(experiments.sdp_row, configs, args.jobs)
         key = "epsilon"
@@ -249,7 +266,7 @@ def _cmd_experiment(args) -> int:
         if args.scenario == "collision-bilevel":
             game, target = experiments.build_collision_game()
             target_x = pure_to_strategy(target, game.dims)
-            obj = _checked(kl_objective, target_x, game.dims, smoothing_delta=args.delta)
+            obj = _kl(args, target_x, game.dims)
         else:
             game = experiments.build_fair_game(_fair_adjacency(args), args.homes.split(","))
             target_x = None
@@ -257,8 +274,7 @@ def _cmd_experiment(args) -> int:
         rho_grid = _parse_floats(args.rho_grid, "--rho-grid")
         for rho in rho_grid:
             _check_positive(rho, "--rho-grid")
-        cfg = _checked(BilevelConfig, step_alpha=args.alpha, stop_eps=args.stop_eps,
-                       max_outer_iters=args.max_outer)
+        cfg = _bilevel_config(args)
         design_row = functools.partial(experiments.bilevel_row, obj=obj, g=game, cfg=cfg,
                                        target=target_x)
         rows = _run_rows(design_row, rho_grid, args.jobs)
@@ -269,7 +285,7 @@ def _cmd_experiment(args) -> int:
     _write_text(experiments.rows_to_csv(rows), args.out)
     if args.plot:
         Path(args.plot).write_text(_sweep_plot(args.scenario, rows))
-    return 3 if any("error" in r for r in rows) else 0
+    return 0 if all(r.get("converged", False) for r in rows) else 3
 
 
 def _sweep_plot(scenario: str, rows: list[dict]) -> str:
@@ -323,13 +339,24 @@ def _build_parser() -> _Parser:
         p.add_argument("--max-sweeps", type=int, default=MinNormConfig.max_sweeps,
                        help="cap on min-norm dual iterations")
 
+    def kl_flags(p):
+        p.add_argument("--delta", type=float, default=None,
+                       help=f"target smoothing toward uniform (default: {KL_SMOOTHING_DEFAULT})")
+
     def bilevel_flags(p):
-        p.add_argument("--delta", type=float, default=KL_SMOOTHING_DEFAULT,
-                       help="target smoothing toward uniform")
         p.add_argument("--alpha", type=float, default=BilevelConfig.step_alpha,
                        help="first trial step of the line search")
         p.add_argument("--stop-eps", type=float, default=BilevelConfig.stop_eps)
         p.add_argument("--max-outer", type=int, default=BilevelConfig.max_outer_iters)
+
+    def rho_grid(p):
+        p.add_argument("--rho-grid", default=",".join(map(str, experiments.DEFAULT_RHO_GRID)))
+
+    def sweep_flags(p):
+        p.add_argument("--plot", default=None, help="also write an SVG chart here")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="parallel sweep rows, capped by the row and core counts")
+        common(p)
 
     p = sub.add_parser("solve", help="compute the equilibrium of a game JSON")
     game_input(p)
@@ -357,6 +384,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--objective", choices=["kl", "potential-delay"], required=True)
     p.add_argument("--target", default=None, help="needed for --objective kl")
     p.add_argument("--rho", type=float, required=True, help="Frobenius norm budget")
+    kl_flags(p)
     bilevel_flags(p)
     common(p)
     p.set_defaults(func=_cmd_design_bilevel)
@@ -369,21 +397,29 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("experiment", help="run a benchmark sweep, emit CSV")
-    p.add_argument("scenario", choices=["collision-sdp", "collision-bilevel", "fair"])
-    p.add_argument("--eps-grid", default=",".join(map(str, experiments.DEFAULT_EPS_GRID)))
-    p.add_argument("--rho-grid", default=",".join(map(str, experiments.DEFAULT_RHO_GRID)))
-    min_norm_flags(p)
-    bilevel_flags(p)
-    p.add_argument("--adjacency", choices=["none", "grid4"], default="none",
-                   help="fair scenario area map")
-    p.add_argument("--adjacency-json", default=None,
-                   help="path to a JSON {area: [neighbours...]} map (overrides --adjacency)")
-    p.add_argument("--homes", default=",".join(experiments.FAIR_HOMES))
-    p.add_argument("--plot", default=None, help="also write an SVG chart here")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel sweep rows, capped by the row and core counts")
-    common(p)
     p.set_defaults(func=_cmd_experiment)
+    scenarios = p.add_subparsers(dest="scenario", required=True)
+
+    q = scenarios.add_parser("collision-sdp", help="min-norm design over a margin grid")
+    q.add_argument("--eps-grid", default=",".join(map(str, experiments.DEFAULT_EPS_GRID)))
+    min_norm_flags(q)
+    sweep_flags(q)
+
+    q = scenarios.add_parser("collision-bilevel", help="KL design over a norm-budget grid")
+    rho_grid(q)
+    kl_flags(q)
+    bilevel_flags(q)
+    sweep_flags(q)
+
+    q = scenarios.add_parser("fair", help="potential-delay design over a norm-budget grid")
+    rho_grid(q)
+    bilevel_flags(q)
+    q.add_argument("--adjacency", choices=["none", "grid4"], default="none",
+                   help="fair scenario area map")
+    q.add_argument("--adjacency-json", default=None,
+                   help="path to a JSON {area: [neighbours...]} map (overrides --adjacency)")
+    q.add_argument("--homes", default=",".join(experiments.FAIR_HOMES))
+    sweep_flags(q)
 
     return parser
 

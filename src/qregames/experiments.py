@@ -140,12 +140,12 @@ def bilevel_row(rho: float, obj: PerformanceObjective, g: Game, cfg: BilevelConf
     """Projected-gradient design of g at one feasible-set radius, as a CSV row.
 
     Columns: rho, psi_value (objective at the returned equilibrium), psi_min
-    (lowest objective recorded over the run), c_norm, outer_iters, converged,
+    (lowest objective over the run), c_norm, outer_iters, converged,
     kl_to_target (when a target strategy is supplied), and the per-area
     aggregate service totals for the fairness objective.  The line search
-    never lets the objective rise, so psi_min equals psi_value; the column is
-    kept so the CSV layout stays the same.  A failed design gives rho and an
-    `error` column.
+    never lets the objective rise, so the returned iterate is the best and
+    psi_min is psi_value; the column is kept so the CSV layout stays the
+    same.  A failed design gives rho and an `error` column.
     """
     row: dict = {"rho": float(rho)}
     try:
@@ -155,7 +155,7 @@ def bilevel_row(rho: float, obj: PerformanceObjective, g: Game, cfg: BilevelConf
         return row
     row.update(
         psi_value=result.objective_value,
-        psi_min=min(h[1] for h in result.history),
+        psi_min=result.objective_value,
         c_norm=result.c_norm,
         outer_iters=result.outer_iterations,
         converged=result.converged,

@@ -86,21 +86,17 @@ def build_margin_constraints(
     """
     dims = g.dims
     m = dims.total
-    cols = np.flatnonzero(pure_to_strategy(t, dims))
+    cols, star, alt, beta = _margin_structure(g, t, epsilon)
     constraints = []
-    for i in range(dims.n):
-        row_star = cols[i]
-        for k in range(1, dims.sizes[i] + 1):
-            row_k = dims.flat_index(i, k)
-            if row_k == row_star:
-                continue
-            normal = np.zeros((m, m))
-            normal[row_star, cols] += 1.0
-            normal[row_k, cols] -= 1.0
-            beta = float(g.b[row_k] - g.b[row_star] - epsilon)
-            constraints.append(
-                MarginConstraint(normal=normal, beta=beta, player=i, action=k)
-            )
+    for row_star, row_k, bound in zip(star, alt, beta):
+        normal = np.zeros((m, m))
+        normal[row_star, cols] += 1.0
+        normal[row_k, cols] -= 1.0
+        player = int(dims.owner[row_k])
+        action = int(row_k - dims.offsets[player]) + 1
+        constraints.append(
+            MarginConstraint(normal=normal, beta=float(bound), player=player, action=action)
+        )
     return constraints
 
 

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +185,14 @@ class TestExperimentCommand:
         assert "error" in out.read_text().split("\n")[0].split(",")
         assert svg.read_text().startswith("<svg ") and "<circle" not in svg.read_text()
 
+    def test_unconverged_row_exits_3(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        code = main(["experiment", "collision-sdp", "--eps-grid", "0", "--max-sweeps", "1",
+                     "--out", str(out)])
+        assert code == 3
+        header, row = out.read_text().strip().split("\n")
+        assert dict(zip(header.split(","), row.split(",")))["converged"] == "false"
+
     @pytest.mark.parametrize("argv", [
         ["collision-sdp", "--eps-grid", "1,2,3"],
         ["collision-bilevel", "--rho-grid", "0.01,1"],
@@ -302,6 +312,9 @@ class TestDeterminismAndErrors:
         ["check", "--tol", "-1"],
         ["design-bilevel", "--objective", "kl", "--target", "3,3,3,3", "--rho", "inf"],
         ["solve", "--residual-tol", "inf"],
+        ["design-bilevel", "--objective", "potential-delay", "--rho", "1",
+         "--target", "3,3,3,3"],
+        ["design-bilevel", "--objective", "potential-delay", "--rho", "1", "--delta", "0.5"],
     ])
     def test_bad_design_flag_value(self, collision_path, argv, capsys):
         assert main(argv[:1] + ["--game", collision_path] + argv[1:]) == 2
@@ -324,6 +337,40 @@ class TestDeterminismAndErrors:
         assert main(["experiment"] + argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:InvalidInput:")
         assert not out.exists()
+
+    # Valid values of the flags that belong to another scenario.
+    FOREIGN_FLAGS = {
+        "collision-sdp": [["--rho-grid", "1"], ["--delta", "0.5"], ["--alpha", "0.1"],
+                          ["--stop-eps", "1e-6"], ["--max-outer", "10"],
+                          ["--adjacency", "grid4"], ["--adjacency-json", "map.json"],
+                          ["--homes", "SW,SE,E"]],
+        "collision-bilevel": [["--eps-grid", "1"], ["--dykstra-tol", "1e-8"],
+                              ["--max-sweeps", "10"], ["--adjacency", "grid4"],
+                              ["--adjacency-json", "map.json"], ["--homes", "SW,SE,E"]],
+        "fair": [["--eps-grid", "1"], ["--dykstra-tol", "1e-8"], ["--max-sweeps", "10"],
+                 ["--delta", "0.5"]],
+    }
+    OWN_GRID = {"collision-sdp": ["--eps-grid", "1"], "collision-bilevel": ["--rho-grid", "0.01"],
+                "fair": ["--rho-grid", "0.01"]}
+
+    @pytest.mark.parametrize("scenario, flag", [
+        (scenario, flag) for scenario, flags in FOREIGN_FLAGS.items() for flag in flags
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_scenario_rejects_foreign_flag(self, scenario, flag, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        argv = ["experiment", scenario] + self.OWN_GRID[scenario] + flag + ["--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:InvalidInput:")
+        assert not out.exists()
+
+    def test_readme_cli_lines_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("qregames ")]
+        assert len(lines) >= 9
+        parser = cli._build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])
 
     @pytest.mark.parametrize("adjacency", [
         ["SW", "S"],
