@@ -9,13 +9,14 @@ over the feasible set (uniqueness cone intersected with a Frobenius ball).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import DecompositionFailure, InnerSolveFailure
-from .game import Game, _check_length, _whole
+from .game import Game, PlayerDims, _check_length, _whole
 from .objectives import PerformanceObjective
 from .projections import project_feasible
 from .results import DesignResult
@@ -73,12 +74,16 @@ def implicit_gradient(g: Game, x: np.ndarray, grad_psi_x: np.ndarray) -> np.ndar
     _check_length(x, dims)
     if grad_psi_x.shape != (dims.total,):
         raise ValueError(f"gradient has shape {grad_psi_x.shape}, expected ({dims.total},)")
-    Ju_v = x * (grad_psi_x - np.add.reduceat(x * grad_psi_x, dims.starts)[dims.owner])
+    Ju_v = np.add.reduceat(x * grad_psi_x, dims.starts)[dims.owner]  # x_i^T v_i per block
+    np.subtract(grad_psi_x, Ju_v, out=Ju_v)
+    Ju_v *= x
     try:
         w = np.linalg.solve(cost_residual_jacobian(g, x).T, Ju_v)
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailure(str(exc)) from exc
-    return (-1.0 / g.lam) * np.outer(w, x)
+    G = w[:, None] * x
+    G *= -1.0 / g.lam
+    return G
 
 
 def run_projected_gradient(
@@ -103,7 +108,8 @@ def run_projected_gradient(
     uses up max_outer_iters or a line search fails after MAX_HALVINGS halvings.
     """
     cfg = cfg or BilevelConfig()
-    C = project_feasible(np.array(g0.C, dtype=float), g0.dims, rho)
+    dims = g0.dims
+    C = project_feasible(g0.C, dims, rho)
     game = g0.with_matrix(C)
     x = _solve(game, cfg, None, 0)
     value = obj.value(x)
@@ -112,8 +118,8 @@ def run_projected_gradient(
     for iteration in range(1, cfg.max_outer_iters + 1):
         g = implicit_gradient(game, x, obj.gradient(x))
         t = cfg.step_alpha
-        C_trial = project_feasible(C - t * g, g0.dims, rho)
-        step_norm = float(np.linalg.norm(C_trial - C))
+        C_trial, D = _trial(C, g, t, dims, rho)
+        step_norm = math.sqrt(D.ravel().dot(D.ravel()))
         history.append((iteration, value, step_norm))
         if step_norm <= cfg.stop_eps or iteration == cfg.max_outer_iters:
             break
@@ -121,10 +127,10 @@ def run_projected_gradient(
             game_trial = g0.with_matrix(C_trial)
             x_trial = _solve(game_trial, cfg, x, iteration)
             value_trial = obj.value(x_trial)
-            if value_trial <= value + ARMIJO_SIGMA * float(np.vdot(g, C_trial - C)):
+            if value_trial <= value + ARMIJO_SIGMA * float(np.vdot(g, D)):
                 break
             t *= HALVING
-            C_trial = project_feasible(C - t * g, g0.dims, rho)
+            C_trial, D = _trial(C, g, t, dims, rho)
         else:
             break
         game, C, x, value = game_trial, C_trial, x_trial, value_trial
@@ -138,6 +144,16 @@ def run_projected_gradient(
         converged=history[-1][2] <= cfg.stop_eps,
         history=tuple(history),
     )
+
+
+def _trial(
+    C: np.ndarray, g: np.ndarray, t: float, dims: PlayerDims, rho: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The trial point P(C - t*g) on the projection arc, and its step from C."""
+    Y = t * g
+    np.subtract(C, Y, out=Y)
+    C_trial = project_feasible(Y, dims, rho)
+    return C_trial, C_trial - C
 
 
 def _solve(g: Game, cfg: BilevelConfig, warm: np.ndarray | None, iteration: int) -> np.ndarray:

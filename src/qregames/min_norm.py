@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .game import Game, PlayerDims, PureTarget, _whole, pure_to_strategy
 from .objectives import kl_objective
 from .projections import project_cone_sum
@@ -103,6 +104,10 @@ def build_margin_constraints(
 def max_margin_violation(C: np.ndarray, constraints: list[MarginConstraint]) -> float:
     if not constraints:
         return 0.0
+    C = np.asarray(C, dtype=float)
+    shape = constraints[0].normal.shape
+    if C.shape != shape:
+        raise DimensionMismatch(f"C has shape {C.shape}, expected {shape}")
     return max(max(c.violation(C) for c in constraints), 0.0)
 
 

@@ -8,8 +8,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonPositiveStrategy, ZeroAreaTotal
-from .game import PlayerDims, check_strategy
+from .errors import DimensionMismatch, NonPositiveStrategy, ZeroAreaTotal
+from .game import PlayerDims, _check_length, check_strategy
 
 # Mixing weight toward the uniform strategy when a target has zero entries.
 # Without it, the divergence to a pure target is infinite.
@@ -27,15 +27,18 @@ class PerformanceObjective:
 def smooth_target(target: np.ndarray, dims: PlayerDims, delta: float) -> np.ndarray:
     """Blockwise mix of the target with the uniform strategy."""
     t = np.array(target, dtype=float)
+    _check_length(t, dims, "target")
     for i in range(dims.n):
         blk = dims.block(i)
         t[blk] = (1.0 - delta) * t[blk] + delta / dims.sizes[i]
     return t
 
 
-def _require_positive(x: np.ndarray) -> np.ndarray:
+def _require_positive(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    if x.shape != shape:
+        raise DimensionMismatch(f"strategy has shape {x.shape}, expected {shape}")
+    if (x <= 0).any():
         raise NonPositiveStrategy("objective evaluated at a strategy with nonpositive entries")
     return x
 
@@ -61,21 +64,26 @@ def kl_objective(
 
 
 def _kl_value(log_t: np.ndarray, x: np.ndarray) -> float:
-    x = _require_positive(x)
-    return float(x @ (np.log(x) - log_t))
+    x = _require_positive(x, log_t.shape)
+    d = np.log(x)
+    d -= log_t
+    return float(x @ d)
 
 
 def _kl_gradient(log_t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    x = _require_positive(x)
-    return np.log(x) - log_t + 1.0
+    x = _require_positive(x, log_t.shape)
+    grad = np.log(x)
+    grad -= log_t
+    grad += 1.0
+    return grad
 
 
 def kl_to_pure(x: np.ndarray, target: np.ndarray) -> float:
     """Divergence of a pure/interior target from x: -sum over the target's
     support of ln x.  Finite for interior x even when the target has zeros,
     and it decreases monotonically as x concentrates on the target."""
-    x = _require_positive(x)
     target = np.asarray(target, dtype=float)
+    x = _require_positive(x, target.shape)
     support = target > 0
     return float(np.sum(target[support] * (np.log(target[support]) - np.log(x[support]))))
 
@@ -96,8 +104,11 @@ def potential_delay_objective(dims: PlayerDims) -> PerformanceObjective:
 
 
 def _area_totals(n: int, k: int, x: np.ndarray) -> np.ndarray:
-    t = np.asarray(x, dtype=float).reshape(n, k).sum(axis=0)
-    if np.any(t <= 0):
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n * k,):
+        raise DimensionMismatch(f"strategy has shape {x.shape}, expected ({n * k},)")
+    t = x.reshape(n, k).sum(axis=0)
+    if (t <= 0).any():
         raise ZeroAreaTotal("an area receives zero aggregate service")
     return t
 

@@ -9,10 +9,21 @@ part, and the ball composes on the outside by a radial rescale.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import EigendecompositionFailure
+from .errors import DimensionMismatch, EigendecompositionFailure
 from .game import PlayerDims, _cone_defects
+
+
+def _cost_matrix(C: np.ndarray, dims: PlayerDims) -> np.ndarray:
+    """C as a float array, after checking that it is m x m for the game."""
+    C = np.asarray(C, dtype=float)
+    m = dims.total
+    if C.shape != (m, m):
+        raise DimensionMismatch(f"C has shape {C.shape}, expected ({m}, {m})")
+    return C
 
 
 def project_psd(S: np.ndarray) -> np.ndarray:
@@ -21,7 +32,8 @@ def project_psd(S: np.ndarray) -> np.ndarray:
         w, V = np.linalg.eigh(S)
     except np.linalg.LinAlgError as exc:
         raise EigendecompositionFailure(str(exc)) from exc
-    return (V * np.maximum(w, 0.0)) @ V.T
+    np.maximum(w, 0.0, out=w)
+    return (V * w) @ V.T
 
 
 def project_cone_sum(C: np.ndarray, dims: PlayerDims) -> np.ndarray:
@@ -29,26 +41,39 @@ def project_cone_sum(C: np.ndarray, dims: PlayerDims) -> np.ndarray:
 
     The set is the direct sum of two orthogonal cones: PSD symmetric
     matrices, and skew matrices with (necessarily zero) diagonal blocks.
-    Projecting each part independently is therefore exact.
+    Projecting each part independently is therefore exact.  The symmetric
+    and skew parts are halved in place, and the skew part is added into the
+    new PSD matrix, which is returned.
     """
-    C = np.asarray(C, dtype=float)
-    sym = 0.5 * (C + C.T)
-    skew = 0.5 * (C - C.T)
+    C = _cost_matrix(C, dims)
+    sym = C + C.T
+    sym *= 0.5
+    skew = C - C.T
+    skew *= 0.5
     skew[dims.owner[:, None] == dims.owner[None, :]] = 0.0
-    return project_psd(sym) + skew
+    P = project_psd(sym)
+    P += skew
+    return P
 
 
 def project_feasible(C: np.ndarray, dims: PlayerDims, rho: float) -> np.ndarray:
     """Project onto the cone intersected with the Frobenius ball of radius rho.
 
     Ball-after-cone is the exact projection onto the intersection because the
-    ball is centered at the cone's apex.
+    ball is centered at the cone's apex.  The cone projection is a new array,
+    so the ball's radial rescale runs on it in place, and only when its norm
+    exceeds rho (otherwise the factor rho / max(rho, norm) is exactly 1).
+    The norm is the square root of the flat dot product, np.linalg.norm's own
+    formula.
     """
     if not 0 < rho < np.inf:
         raise ValueError("rho must be finite and > 0")
     A = project_cone_sum(C, dims)
-    norm = float(np.linalg.norm(A))
-    return (rho / max(rho, norm)) * A
+    flat = A.ravel()
+    norm = math.sqrt(flat.dot(flat))
+    if norm > rho:
+        A *= rho / norm
+    return A
 
 
 def in_feasible_set(
@@ -60,6 +85,7 @@ def in_feasible_set(
     block_tol: float = 1e-10,
 ) -> bool:
     """Membership test used by diagnostics and tests; eig_tol bounds (C + C^T)/2."""
+    C = _cost_matrix(C, dims)
     min_eig, asym = _cone_defects(C, dims)
     return bool(0.5 * min_eig >= -eig_tol and asym <= block_tol
                 and np.linalg.norm(C) <= rho + ball_tol)

@@ -71,13 +71,19 @@ def blockwise_softmax(u: np.ndarray, dims) -> np.ndarray:
     Without the shift, temperatures like 0.1 against costs of a few units
     produce exponents near -30 that underflow asymmetrically.  All blocks
     are reduced at once over `dims.starts` and spread back by `dims.owner`.
+    The exp and the normalisation run in place on the shifted copy of the
+    float array u, so u is left unchanged.
     """
-    e = np.exp(u - np.maximum.reduceat(u, dims.starts)[dims.owner])
-    return e / np.add.reduceat(e, dims.starts)[dims.owner]
+    e = u - np.maximum.reduceat(u, dims.starts)[dims.owner]
+    np.exp(e, out=e)
+    e /= np.add.reduceat(e, dims.starts)[dims.owner]
+    return e
 
 
 def perceived_cost(g: Game, x: np.ndarray) -> np.ndarray:
-    return g.b + g.C @ x
+    c = g.C @ x
+    c += g.b
+    return c
 
 
 def logit_response(g: Game, x: np.ndarray) -> np.ndarray:
@@ -95,7 +101,7 @@ def _response_to_cost(g: Game, cost: np.ndarray) -> np.ndarray:
     """f(-cost/lam), the one home of the response map's finiteness rule."""
     if not np.isfinite(cost).all():
         raise NonFiniteInput("cost argument of the response map is not finite")
-    return blockwise_softmax(-cost / g.lam, g.dims)
+    return blockwise_softmax(cost / -g.lam, g.dims)
 
 
 def response_jacobian(g: Game, x: np.ndarray) -> np.ndarray:
@@ -136,7 +142,8 @@ def cost_residual_jacobian(g: Game, x: np.ndarray) -> np.ndarray:
     H = (g.C @ W).repeat(dims.sizes, axis=1)
     np.subtract(g.C, H, out=H)
     H *= x / g.lam
-    H.flat[:: m + 1] += 1.0
+    diagonal = H.ravel()[:: m + 1]  # a view: H is contiguous
+    diagonal += 1.0
     return H
 
 
@@ -172,7 +179,7 @@ def solve_equilibrium(
     _check_length(x, dims, "x0")
 
     def at(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        p = blockwise_softmax(-y / g.lam, dims)
+        p = blockwise_softmax(y / -g.lam, dims)
         c = perceived_cost(g, p)
         R = y - c
         return p, c, R, float(R @ R)
@@ -218,11 +225,14 @@ def stationarity_residual(g: Game, x: np.ndarray) -> float:
 
     At an exact equilibrium, b_i + (Cx)_i + lam*ln(x_i) is constant within
     each block; returns the largest spread (max - min) of that vector over
-    all players.  Requires x strictly positive.
+    all players.  Requires x finite (else NonFiniteInput) and strictly
+    positive (else NonPositiveStrategy).
     """
     x = np.asarray(x, dtype=float)
     _check_length(x, g.dims)
-    if np.any(x <= 0):
+    if not np.isfinite(x).all():
+        raise NonFiniteInput("stationarity diagnostic needs finite entries")
+    if (x <= 0).any():
         raise NonPositiveStrategy("stationarity diagnostic needs strictly positive entries")
     v = perceived_cost(g, x) + g.lam * np.log(x)
     starts = g.dims.starts

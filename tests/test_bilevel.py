@@ -95,6 +95,19 @@ class TestImplicitGradient:
         expected = -(1.0 / g.lam) * np.outer(np.linalg.solve(H.T, J @ grad_psi), x)
         assert np.abs(G - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
 
+    def test_in_place_matches_textbook_bit_for_bit(self, rng):
+        from qregames.solver import cost_residual_jacobian
+
+        g = random_certified_game(rng, [1, 4, 2, 7], lam=0.3, coupling=2.0)
+        dims = g.dims
+        x = solve_equilibrium(g, RESOLVE).x
+        for _ in range(5):
+            v = rng.normal(size=dims.total)
+            Ju_v = x * (v - np.add.reduceat(x * v, dims.starts)[dims.owner])
+            w = np.linalg.solve(cost_residual_jacobian(g, x).T, Ju_v)
+            expected = (-1.0 / g.lam) * np.outer(w, x)
+            assert np.array_equal(implicit_gradient(g, x, v), expected)
+
     def test_rejects_wrong_gradient_length(self, rng):
         g = random_certified_game(rng, [2, 2])
         out = solve_equilibrium(g)
@@ -148,6 +161,31 @@ class TestInnerSolveRetry:
         with pytest.raises(InnerSolveFailure):
             run_projected_gradient(self.game, self.obj, rho=4.0)
         assert warm_flags == expected_flags
+
+
+class TestOuterStepWork:
+    def test_one_projection_and_one_solve_per_step(self, monkeypatch):
+        # collision rho=0.1 takes no backtrack: the start and each step's
+        # first trial are the only projections, and every step but the last
+        # solves its accepted trial
+        game, target = build_collision_game()
+        obj = kl_objective(pure_to_strategy(target, game.dims), game.dims)
+        calls = {"project_feasible": 0, "solve_equilibrium": 0}
+
+        def counting(name):
+            fn = getattr(qregames.bilevel, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(qregames.bilevel, name, counted)
+
+        counting("project_feasible")
+        counting("solve_equilibrium")
+        result = run_projected_gradient(game, obj, rho=0.1)
+        assert result.converged and result.outer_iterations > 100
+        assert calls["project_feasible"] == result.outer_iterations + 1
+        assert calls["solve_equilibrium"] == result.outer_iterations
 
 
 class TestBilevelConfig:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qregames import (
+    DimensionMismatch,
     Game,
     IndexOutOfRange,
     MinNormConfig,
@@ -74,6 +75,12 @@ class TestBuildMarginConstraints:
             row_star = game.dims.flat_index(c.player, target.chosen[c.player])
             row_alt = game.dims.flat_index(c.player, c.action)
             assert np.sum(c.normal * C) == pytest.approx(cost[row_star] - cost[row_alt])
+
+    @pytest.mark.parametrize("C", [np.zeros((3, 3)), np.zeros(4), np.zeros((2, 2, 1))])
+    def test_violation_of_a_matrix_that_does_not_fit_raises(self, C):
+        cons = build_margin_constraints(two_action_game([0.0, 1.0]), PureTarget([1]), 0.0)
+        with pytest.raises(DimensionMismatch):
+            max_margin_violation(C, cons)
 
 
 class TestSolveMinNormDesign:

@@ -14,6 +14,7 @@ from qregames import (
     smooth_target,
     uniform_strategy,
 )
+from qregames.objectives import KL_SMOOTHING_DEFAULT
 
 from conftest import finite_difference_gradient, random_interior_strategy
 
@@ -87,6 +88,39 @@ class TestKlObjective:
         target = np.array([1.0, 0.0])
         smoothed = kl_objective(target, dims, smoothing_delta=1e-3)
         assert np.isfinite(smoothed.value(np.array([0.9, 0.1])))
+
+
+    def test_in_place_matches_textbook_bit_for_bit(self, rng):
+        dims = PlayerDims([1, 4, 2, 7])
+        target = random_interior_strategy(rng, dims)
+        obj = kl_objective(target, dims)
+        log_t = np.log(smooth_target(target, dims, KL_SMOOTHING_DEFAULT))
+        for _ in range(5):
+            x = random_interior_strategy(rng, dims)
+            assert obj.value(x) == float(x @ (np.log(x) - log_t))
+            assert np.array_equal(obj.gradient(x), np.log(x) - log_t + 1.0)
+
+
+class TestWrongLength:
+    """A strategy or target whose length does not fit the game is refused."""
+
+    def test_smooth_target(self):
+        with pytest.raises(DimensionMismatch):
+            smooth_target(np.ones(3), PlayerDims([2, 2]), 0.1)
+
+    @pytest.mark.parametrize("x", [np.full(3, 1 / 3), np.full(5, 0.2), np.full((2, 2), 0.5)])
+    @pytest.mark.parametrize("objective", ["kl", "potential_delay"])
+    @pytest.mark.parametrize("part", ["value", "gradient"])
+    def test_objectives(self, x, objective, part):
+        dims = PlayerDims([2, 2])
+        obj = (kl_objective(uniform_strategy(dims), dims) if objective == "kl"
+               else potential_delay_objective(dims))
+        with pytest.raises(DimensionMismatch):
+            getattr(obj, part)(x)
+
+    def test_kl_to_pure(self):
+        with pytest.raises(DimensionMismatch):
+            kl_to_pure(np.full(3, 1 / 3), np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 class TestKlToPure:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from qregames import PlayerDims, in_feasible_set, project_cone_sum, project_feasible
+from qregames import (
+    DimensionMismatch,
+    PlayerDims,
+    in_feasible_set,
+    project_cone_sum,
+    project_feasible,
+)
 
 from conftest import sample_feasible_matrices
 
@@ -14,6 +20,26 @@ def cone_member(C, dims, eig_tol=1e-9, block_tol=1e-10):
         if np.linalg.norm(blk - blk.T) > block_tol:
             return False
     return True
+
+
+def textbook_cone_sum(C, dims):
+    """The cone projection as written out: eigenvalues clamped, blocks zeroed."""
+    w, V = np.linalg.eigh(0.5 * (C + C.T))
+    skew = 0.5 * (C - C.T)
+    skew[dims.owner[:, None] == dims.owner[None, :]] = 0.0
+    return (V * np.maximum(w, 0.0)) @ V.T + skew
+
+
+@pytest.mark.parametrize("project", [
+    project_cone_sum,
+    lambda C, dims: project_feasible(C, dims, 1.0),
+    lambda C, dims: in_feasible_set(C, dims, 1.0),
+], ids=["project_cone_sum", "project_feasible", "in_feasible_set"])
+@pytest.mark.parametrize("C", [np.zeros((3, 3)), np.zeros((4, 3)), np.zeros(4), np.zeros(16)],
+                         ids=["3x3", "4x3", "1-D", "flat-16"])
+def test_matrix_that_does_not_fit_the_game_raises(project, C):
+    with pytest.raises(DimensionMismatch):
+        project(C, PlayerDims([2, 2]))
 
 
 class TestProjectConeSum:
@@ -52,6 +78,14 @@ class TestProjectConeSum:
         for i in range(dims.n):
             skew[dims.block(i), dims.block(i)] = 0.0
         assert np.array_equal(project_cone_sum(C, dims), project_psd(0.5 * (C + C.T)) + skew)
+
+    def test_in_place_matches_textbook_bit_for_bit(self, rng):
+        dims = PlayerDims([1, 4, 2, 7])
+        for _ in range(10):
+            C = rng.normal(size=(dims.total, dims.total))
+            before = C.copy()
+            assert np.array_equal(project_cone_sum(C, dims), textbook_cone_sum(C, dims))
+            assert np.array_equal(C, before)
 
     def test_idempotent(self, rng):
         dims = PlayerDims([3, 2])
@@ -108,6 +142,25 @@ class TestProjectFeasible:
             P = project_feasible(rng.normal(size=(6, 6)), dims, rho=1.5)
             P2 = project_feasible(P, dims, rho=1.5)
             assert np.abs(P2 - P).max() <= 1e-10
+
+    @pytest.mark.parametrize("inside", [True, False], ids=["norm<=rho", "norm>rho"])
+    def test_in_place_matches_textbook_bit_for_bit(self, rng, inside):
+        dims = PlayerDims([1, 4, 2, 7])
+        for _ in range(10):
+            C = rng.normal(size=(dims.total, dims.total))
+            A = textbook_cone_sum(C, dims)
+            norm = float(np.linalg.norm(A))
+            rho = 1.5 * norm if inside else 0.5 * norm
+            C.setflags(write=False)
+            P = project_feasible(C, dims, rho)
+            assert np.array_equal(P, (rho / max(rho, norm)) * A)
+            assert not np.shares_memory(P, C)
+
+    def test_radius_equal_to_norm_leaves_the_cone_projection(self, rng):
+        dims = PlayerDims([2, 3])
+        C = rng.normal(size=(5, 5))
+        A = textbook_cone_sum(C, dims)
+        assert np.array_equal(project_feasible(C, dims, float(np.linalg.norm(A))), A)
 
     def test_rejects_bad_radius(self):
         for rho in (0.0, np.inf, np.nan):

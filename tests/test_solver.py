@@ -136,6 +136,29 @@ class TestStructuredKernels:
             for i in range(self.DIMS.n):
                 assert abs(p[self.DIMS.block(i)].sum() - 1.0) <= 1e-15
 
+    def test_softmax_in_place_matches_textbook_bit_for_bit(self, rng):
+        from qregames.solver import blockwise_softmax
+
+        dims, starts, owner = self.DIMS, self.DIMS.starts, self.DIMS.owner
+        for scale in (1.0, 100.0):
+            u = scale * rng.normal(size=dims.total)
+            e = np.exp(u - np.maximum.reduceat(u, starts)[owner])
+            expected = e / np.add.reduceat(e, starts)[owner]
+            before = u.copy()
+            assert np.array_equal(blockwise_softmax(u, dims), expected)
+            assert np.array_equal(u, before)  # the input is not mutated
+            u.setflags(write=False)  # and a read-only input is accepted
+            assert np.array_equal(blockwise_softmax(u, dims), expected)
+
+    def test_response_matches_textbook_bit_for_bit(self, rng):
+        from qregames.solver import blockwise_softmax
+
+        g = random_certified_game(rng, self.DIMS.sizes, lam=0.3, coupling=2.0)
+        for _ in range(5):
+            x = random_interior_strategy(rng, g.dims)
+            expected = blockwise_softmax(-(g.b + g.C @ x) / g.lam, g.dims)
+            assert np.array_equal(logit_response(g, x), expected)
+
     def test_cost_residual_jacobian_matches_dense(self, rng):
         from qregames.solver import cost_residual_jacobian
 
@@ -252,6 +275,12 @@ class TestSolveEquilibrium:
     @pytest.mark.parametrize("x", [[0.5, 0.5], [0.25] * 4, [[1 / 3] * 3]])
     def test_entry_points_reject_wrong_length(self, fn, x):
         with pytest.raises(DimensionMismatch):
+            fn(single_player_game([0.0, 0.0, 0.0]), np.array(x))
+
+    @pytest.mark.parametrize("fn", [logit_response, response_jacobian, stationarity_residual])
+    @pytest.mark.parametrize("x", [[np.nan, 0.5, 0.5], [0.5, 0.5, np.nan]])
+    def test_entry_points_reject_nan(self, fn, x):
+        with pytest.raises(NonFiniteInput):
             fn(single_player_game([0.0, 0.0, 0.0]), np.array(x))
 
     def test_max_iters_returns_best_unconverged(self, rng):
