@@ -16,7 +16,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DecompositionFailure, InnerSolveFailure
-from .game import Game, PlayerDims, _check_length, _whole
+from .game import Game, PlayerDims, _check_finite, _check_length, _whole
 from .objectives import PerformanceObjective
 from .projections import project_feasible
 from .results import DesignResult
@@ -66,7 +66,7 @@ def implicit_gradient(g: Game, x: np.ndarray, grad_psi_x: np.ndarray) -> np.ndar
     v = grad_psi, block i of J_u v is x_i * (v_i - x_i^T v_i).  The
     uniqueness certificate makes H nonsingular (see cost_residual_jacobian);
     a singular one, possible only for an uncertified game, raises
-    DecompositionFailure.
+    DecompositionFailure.  x and the gradient must be finite (NonFiniteInput).
     """
     x = np.asarray(x, dtype=float)
     grad_psi_x = np.asarray(grad_psi_x, dtype=float)
@@ -74,6 +74,14 @@ def implicit_gradient(g: Game, x: np.ndarray, grad_psi_x: np.ndarray) -> np.ndar
     _check_length(x, dims)
     if grad_psi_x.shape != (dims.total,):
         raise ValueError(f"gradient has shape {grad_psi_x.shape}, expected ({dims.total},)")
+    _check_finite(x)
+    _check_finite(grad_psi_x, "performance gradient")
+    return _implicit_gradient(g, x, grad_psi_x)
+
+
+def _implicit_gradient(g: Game, x: np.ndarray, grad_psi_x: np.ndarray) -> np.ndarray:
+    """implicit_gradient at an equilibrium x the caller solved for, unchecked."""
+    dims = g.dims
     Ju_v = np.add.reduceat(x * grad_psi_x, dims.starts)[dims.owner]  # x_i^T v_i per block
     np.subtract(grad_psi_x, Ju_v, out=Ju_v)
     Ju_v *= x
@@ -116,7 +124,7 @@ def run_projected_gradient(
     history: list[tuple[int, float, float]] = []
 
     for iteration in range(1, cfg.max_outer_iters + 1):
-        g = implicit_gradient(game, x, obj.gradient(x))
+        g = _implicit_gradient(game, x, obj.gradient(x))
         t = cfg.step_alpha
         C_trial, D = _trial(C, g, t, dims, rho)
         step_norm = math.sqrt(D.ravel().dot(D.ravel()))

@@ -25,6 +25,7 @@ from .errors import (
     EigendecompositionFailure,
     IndexOutOfRange,
     InvalidInput,
+    NonFiniteInput,
     NonPositiveLambda,
 )
 
@@ -59,9 +60,19 @@ def _check_length(x: np.ndarray, dims: "PlayerDims", what: str = "strategy") -> 
         raise DimensionMismatch(f"{what} has shape {x.shape}, expected ({dims.total},)")
 
 
+def _check_finite(x: np.ndarray, what: str = "strategy") -> None:
+    if not np.isfinite(x).all():
+        raise NonFiniteInput(f"{what} has NaN or infinite entries")
+
+
 @dataclass(frozen=True)
 class PlayerDims:
-    """Actions per player, with block offsets and index arrays computed once."""
+    """Actions per player, with block offsets and index arrays computed once.
+
+    The block structure the kernels read (index arrays, the same-block mask
+    and the off-block multiplier) is computed on first use and kept,
+    read-only; it depends on the sizes alone.
+    """
 
     sizes: tuple[int, ...]
 
@@ -71,7 +82,7 @@ class PlayerDims:
             raise DimensionMismatch(f"need n >= 1 players with m_i >= 1 actions, got {sizes}")
         object.__setattr__(self, "sizes", sizes)
 
-    def __reduce__(self):  # unpickled cached index arrays would be writable
+    def __reduce__(self):  # unpickled cached arrays would be writable; rebuilt on first use
         return PlayerDims, (self.sizes,)
 
     @property
@@ -95,6 +106,26 @@ class PlayerDims:
     def owner(self) -> np.ndarray:
         """Player (0-based) of each flat action index (read-only)."""
         return _read_only(np.repeat(np.arange(self.n, dtype=np.intp), self.sizes))
+
+    @cached_property
+    def _size_array(self) -> np.ndarray:
+        """The sizes as an array, for `np.repeat` (read-only)."""
+        return _read_only(np.array(self.sizes, dtype=np.intp))
+
+    @cached_property
+    def _scatter_index(self) -> np.ndarray:
+        """Flat index of (k, owner[k]) in a row-major m x n array (read-only)."""
+        return _read_only(np.arange(self.total, dtype=np.intp) * self.n + self.owner)
+
+    @cached_property
+    def _same_block(self) -> np.ndarray:
+        """m x m mask, True where row and column belong to one player (read-only)."""
+        return _read_only(self.owner[:, None] == self.owner[None, :])
+
+    @cached_property
+    def _off_block_half(self) -> np.ndarray:
+        """m x m multiplier: 0 on the diagonal blocks, 0.5 off them (read-only)."""
+        return _read_only(np.where(self._same_block, 0.0, 0.5))
 
     def block(self, i: int) -> slice:
         off = self.offsets
@@ -149,8 +180,15 @@ class Game:
         return Game, (self.dims, self.lam, self.b, self.C)
 
     def with_matrix(self, C) -> "Game":
-        """Same game with a different cost matrix."""
-        return Game(self.dims, self.lam, self.b, C)
+        """Same game with a different cost matrix.
+
+        dims, lam and the read-only b are shared with this game, which has
+        already validated them; only C is copied and checked.
+        """
+        g = object.__new__(Game)
+        g.__dict__.update(dims=self.dims, lam=self.lam, b=self.b,
+                          C=_frozen_array(C, self.C.shape, "C"))
+        return g
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .game import Game, PlayerDims, PureTarget, _whole, pure_to_strategy
 from .objectives import kl_objective
-from .projections import project_cone_sum
+from .projections import _project_cone_sum
 from .results import DesignResult
 from .solver import solve_equilibrium
 
@@ -154,7 +154,7 @@ def _dual_min_norm(
         r = np.bincount(star, mu, m) - np.bincount(alt, mu, m)
         Z = Y0.copy()
         Z[:, cols] -= r[:, None]
-        C = project_cone_sum(Z, dims)
+        C = _project_cone_sum(Z, dims)
         s = C[:, cols].sum(axis=1)
         grad = beta - (s[star] - s[alt])
         return C, grad, 0.5 * float(np.vdot(C, C)) + float(beta @ mu)

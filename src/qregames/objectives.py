@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveStrategy, ZeroAreaTotal
+from .errors import DimensionMismatch, NonFiniteInput, NonPositiveStrategy, ZeroAreaTotal
 from .game import PlayerDims, _check_length, check_strategy
 
 # Mixing weight toward the uniform strategy when a target has zero entries.
@@ -38,9 +38,15 @@ def _require_positive(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != shape:
         raise DimensionMismatch(f"strategy has shape {x.shape}, expected {shape}")
-    if (x <= 0).any():
+    if not (x > 0).all():  # one comparison, as x <= 0 would be, but NaN fails it
+        _reject_nan(x)
         raise NonPositiveStrategy("objective evaluated at a strategy with nonpositive entries")
     return x
+
+
+def _reject_nan(a: np.ndarray) -> None:
+    if np.isnan(a).any():
+        raise NonFiniteInput("objective evaluated at a strategy with NaN entries")
 
 
 def kl_objective(
@@ -108,7 +114,8 @@ def _area_totals(n: int, k: int, x: np.ndarray) -> np.ndarray:
     if x.shape != (n * k,):
         raise DimensionMismatch(f"strategy has shape {x.shape}, expected ({n * k},)")
     t = x.reshape(n, k).sum(axis=0)
-    if (t <= 0).any():
+    if not (t > 0).all():  # a NaN entry of x makes its area's total NaN
+        _reject_nan(t)
         raise ZeroAreaTotal("an area receives zero aggregate service")
     return t
 

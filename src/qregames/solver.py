@@ -15,7 +15,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonFiniteInput, NonPositiveStrategy
-from .game import Game, _check_lambda, _check_length, _whole, check_assumption, uniform_strategy
+from .game import (
+    Game,
+    _check_finite,
+    _check_lambda,
+    _check_length,
+    _whole,
+    check_assumption,
+    uniform_strategy,
+)
 
 # Armijo backtracking of the Gauss-Newton step: sufficient-decrease
 # constant, step shrink factor, and the trials before the smallest is taken.
@@ -90,10 +98,12 @@ def logit_response(g: Game, x: np.ndarray) -> np.ndarray:
     """Blockwise softmax response to the costs induced by x.
 
     Output blocks are strictly positive and sum to one.  Raises
-    NonFiniteInput if the cost argument contains NaN or infinity.
+    NonFiniteInput if x, or the cost argument, contains NaN or infinity;
+    x is checked before the product C x.
     """
     x = np.asarray(x, dtype=float)
     _check_length(x, g.dims)
+    _check_finite(x)
     return _response_to_cost(g, perceived_cost(g, x))
 
 
@@ -113,8 +123,7 @@ def response_jacobian(g: Game, x: np.ndarray) -> np.ndarray:
     its block structure instead (see cost_residual_jacobian).
     """
     p = logit_response(g, x)
-    owner = g.dims.owner
-    J = np.where(owner[:, None] == owner[None, :], -np.outer(p, p), 0.0)
+    J = np.where(g.dims._same_block, -np.outer(p, p), 0.0)
     J.flat[:: p.size + 1] += p
     return J
 
@@ -128,7 +137,8 @@ def cost_residual_jacobian(g: Game, x: np.ndarray) -> np.ndarray:
     k, is x_j (C_{:,j} - S_{:,k}) with S_{:,k} = sum over l in block k of
     C_{:,l} x_l, one product of C with the m x n block indicator scaled by x.
     Blocks are contiguous, so S is spread over them with one contiguous
-    repeat of each column, m_k times.
+    repeat of each column, m_k times.  The indicator is filled through the
+    flat index and the sizes array that dims computed once.
 
     Under the uniqueness certificate H is nonsingular: det(I + AB) =
     det(I + BA) gives det H = det(I + (1/lam) J_u C) =
@@ -138,8 +148,8 @@ def cost_residual_jacobian(g: Game, x: np.ndarray) -> np.ndarray:
     dims = g.dims
     m = dims.total
     W = np.zeros((m, dims.n))
-    W[np.arange(m), dims.owner] = x
-    H = (g.C @ W).repeat(dims.sizes, axis=1)
+    W.ravel()[dims._scatter_index] = x  # a view: W is contiguous
+    H = (g.C @ W).repeat(dims._size_array, axis=1)
     np.subtract(g.C, H, out=H)
     H *= x / g.lam
     diagonal = H.ravel()[:: m + 1]  # a view: H is contiguous
@@ -159,7 +169,8 @@ def solve_equilibrium(
     residual R(y) = y - b - Cx vanishes exactly at an equilibrium.  The step
     solves H s = -R (see cost_residual_jacobian) and the line search
     backtracks on 0.5 ||R||^2.  Starts from y = b + C x0, with x0 the
-    uniform strategy unless given.
+    uniform strategy unless given; a given x0 must be finite
+    (NonFiniteInput), and is checked before the product C x0.
 
     Converged means both ||x - f(x)||^2 and ||R||^2 are at most
     `residual_tol`; `residual_sq` reports the first, computed from the
@@ -175,8 +186,12 @@ def solve_equilibrium(
     if cfg is None:
         cfg = _DEFAULT_CONFIG
     dims = g.dims
-    x = uniform_strategy(dims) if x0 is None else np.asarray(x0, dtype=float)
-    _check_length(x, dims, "x0")
+    if x0 is None:
+        x = uniform_strategy(dims)
+    else:
+        x = np.asarray(x0, dtype=float)
+        _check_length(x, dims, "x0")
+        _check_finite(x, "x0")
 
     def at(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         p = blockwise_softmax(y / -g.lam, dims)
@@ -230,8 +245,7 @@ def stationarity_residual(g: Game, x: np.ndarray) -> float:
     """
     x = np.asarray(x, dtype=float)
     _check_length(x, g.dims)
-    if not np.isfinite(x).all():
-        raise NonFiniteInput("stationarity diagnostic needs finite entries")
+    _check_finite(x)
     if (x <= 0).any():
         raise NonPositiveStrategy("stationarity diagnostic needs strictly positive entries")
     v = perceived_cost(g, x) + g.lam * np.log(x)

@@ -10,6 +10,7 @@ from qregames import (
     DimensionMismatch,
     Game,
     InnerSolveFailure,
+    NonFiniteInput,
     PerformanceObjective,
     PlayerDims,
     SolverConfig,
@@ -118,6 +119,15 @@ class TestImplicitGradient:
         g = random_certified_game(rng, [2, 2])
         with pytest.raises(DimensionMismatch):
             implicit_gradient(g, np.full(3, 0.5), np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["strategy", "gradient"])
+    def test_rejects_non_finite_input(self, rng, bad, where):
+        g = random_certified_game(rng, [2, 2])
+        x, v = solve_equilibrium(g).x, np.ones(4)
+        (x if where == "strategy" else v)[1] = bad
+        with pytest.raises(NonFiniteInput):
+            implicit_gradient(g, x, v)
 
     def test_singular_inner_matrix_raises(self):
         # uncertified (C + C^T = -4I): at x = (1/2, 1/2) the softmax Jacobian

@@ -196,6 +196,47 @@ class TestBlocks:
             with pytest.raises(ValueError):
                 arr[0] = 5
 
+    @pytest.mark.parametrize("sizes", [[1, 4, 2, 7], [1], [3, 3]])
+    def test_block_structure_arrays(self, sizes):
+        dims = PlayerDims(sizes)
+        m, n, owner = dims.total, dims.n, dims.owner
+        same = owner[:, None] == owner[None, :]
+        cached = (dims._same_block, dims._off_block_half, dims._scatter_index, dims._size_array)
+        copy = pickle.loads(pickle.dumps(dims))  # pickled after the arrays were cached
+        rebuilt = (copy._same_block, copy._off_block_half, copy._scatter_index, copy._size_array)
+        for arrays in (cached, rebuilt):
+            same_block, off_block_half, scatter_index, size_array = arrays
+            assert np.array_equal(same_block, same)
+            assert np.array_equal(off_block_half, np.where(same, 0.0, 0.5))
+            W = np.zeros((m, n))
+            W.ravel()[scatter_index] = 1.0
+            assert np.array_equal(W, np.eye(n)[owner])
+            assert size_array.tolist() == list(sizes)
+            for arr in arrays:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 1
+
+
+class TestWithMatrix:
+    def test_copies_only_the_new_matrix(self, rng):
+        g = make_game(sizes=(1, 4, 2), b=rng.normal(size=7))
+        C = rng.normal(size=(7, 7))
+        h = g.with_matrix(C)
+        expected = C.copy()
+        C[0, 0] += 1.0  # the game holds a copy
+        assert np.array_equal(h.C, expected)
+        assert h.dims is g.dims and h.lam == g.lam and np.array_equal(h.b, g.b)
+        for arr in (h.b, h.C):
+            assert not arr.flags.writeable
+        copy = pickle.loads(pickle.dumps(h))
+        assert np.array_equal(copy.C, expected) and not copy.C.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(6, 6), (7, 6), (49,)])
+    def test_wrong_shape_raises(self, shape):
+        with pytest.raises(DimensionMismatch):
+            make_game(sizes=(1, 4, 2)).with_matrix(np.zeros(shape))
+
 
 class TestGameJson:
     def test_roundtrip_bitwise(self, tmp_path, rng):

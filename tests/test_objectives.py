@@ -5,6 +5,7 @@ import pytest
 
 from qregames import (
     DimensionMismatch,
+    NonFiniteInput,
     NonPositiveStrategy,
     PlayerDims,
     ZeroAreaTotal,
@@ -122,6 +123,23 @@ class TestWrongLength:
         with pytest.raises(DimensionMismatch):
             kl_to_pure(np.full(3, 1 / 3), np.array([1.0, 0.0, 0.0, 0.0]))
 
+
+class TestNanStrategy:
+    """A strategy with a NaN entry is refused, not turned into a NaN value."""
+
+    @pytest.mark.parametrize("x", [[np.nan, 0.5, 0.5, 0.5], [0.5, 0.5, 0.0, np.nan]])
+    @pytest.mark.parametrize("objective", ["kl", "potential_delay"])
+    @pytest.mark.parametrize("part", ["value", "gradient"])
+    def test_objectives(self, x, objective, part):
+        dims = PlayerDims([2, 2])
+        obj = (kl_objective(uniform_strategy(dims), dims) if objective == "kl"
+               else potential_delay_objective(dims))
+        with pytest.raises(NonFiniteInput):
+            getattr(obj, part)(np.array(x))
+
+    def test_kl_to_pure(self):
+        with pytest.raises(NonFiniteInput):
+            kl_to_pure(np.array([np.nan, 0.5, 0.5, 0.5]), np.array([1.0, 0.0, 1.0, 0.0]))
 
 class TestKlToPure:
     def test_monotone_toward_target(self):

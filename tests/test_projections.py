@@ -87,6 +87,21 @@ class TestProjectConeSum:
             assert np.array_equal(project_cone_sum(C, dims), textbook_cone_sum(C, dims))
             assert np.array_equal(C, before)
 
+    @pytest.mark.parametrize("sizes", [[1, 4, 2, 7], [1], [3, 3, 3, 3]])
+    @pytest.mark.parametrize("kind", ["random", "negative-definite", "pure-skew", "zero"])
+    def test_one_pass_skew_matches_textbook_with_zero_signs(self, rng, sizes, kind):
+        # the skew part is (C - C^T) times 0.5 or 0, not zeroed through a mask;
+        # the values and the sign of every zero must not change
+        dims = PlayerDims(sizes)
+        m = dims.total
+        for _ in range(10):
+            A = rng.normal(size=(m, m))
+            C = {"random": A, "negative-definite": -(A @ A.T) - np.eye(m),
+                 "pure-skew": A - A.T, "zero": np.zeros((m, m))}[kind]
+            P, expected = project_cone_sum(C, dims), textbook_cone_sum(C, dims)
+            assert np.array_equal(P, expected)
+            assert np.array_equal(np.signbit(P), np.signbit(expected))
+
     def test_idempotent(self, rng):
         dims = PlayerDims([3, 2])
         for _ in range(10):

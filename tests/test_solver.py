@@ -168,6 +168,22 @@ class TestStructuredKernels:
         dense = np.eye(g.dims.total) + (1.0 / g.lam) * g.C @ response_jacobian(g, x0)
         assert np.abs(H - dense).max() <= 1e-12
 
+    @pytest.mark.parametrize("sizes", [DIMS.sizes, (1,), (3, 3, 3, 3)])
+    def test_cost_residual_jacobian_matches_arange_scatter_bit_for_bit(self, rng, sizes):
+        from qregames.solver import cost_residual_jacobian
+
+        g = random_certified_game(rng, sizes, lam=0.3, coupling=2.0)
+        dims, m = g.dims, g.dims.total
+        for _ in range(5):
+            x = logit_response(g, random_interior_strategy(rng, dims))
+            W = np.zeros((m, dims.n))
+            W[np.arange(m), dims.owner] = x
+            expected = (g.C - (g.C @ W).repeat(dims.sizes, axis=1)) * (x / g.lam)
+            expected.flat[:: m + 1] += 1.0
+            H = cost_residual_jacobian(g, x)
+            assert np.array_equal(H, expected)
+            assert np.array_equal(np.signbit(H), np.signbit(expected))
+
     def test_exit_test_matches_logit_response(self, rng):
         # The solver's exit test reuses the cost its residual formed; the
         # reported residual must be exactly what logit_response gives.
@@ -280,6 +296,18 @@ class TestSolveEquilibrium:
     @pytest.mark.parametrize("fn", [logit_response, response_jacobian, stationarity_residual])
     @pytest.mark.parametrize("x", [[np.nan, 0.5, 0.5], [0.5, 0.5, np.nan]])
     def test_entry_points_reject_nan(self, fn, x):
+        with pytest.raises(NonFiniteInput):
+            fn(single_player_game([0.0, 0.0, 0.0]), np.array(x))
+
+    @pytest.mark.parametrize("fn", [
+        logit_response,
+        response_jacobian,
+        stationarity_residual,
+        lambda g, x: solve_equilibrium(g, x0=x),
+    ], ids=["logit_response", "response_jacobian", "stationarity_residual", "solve_equilibrium"])
+    @pytest.mark.parametrize("x", [[np.inf, 0.5, 0.5], [0.5, -np.inf, 0.5], [0.5, 0.5, np.nan]])
+    def test_non_finite_strategy_rejected_before_the_product(self, fn, x):
+        # C x with an infinite entry would warn (0 * inf) before any check on the cost
         with pytest.raises(NonFiniteInput):
             fn(single_player_game([0.0, 0.0, 0.0]), np.array(x))
 
