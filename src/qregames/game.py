@@ -151,6 +151,7 @@ def _frozen_array(a, shape, what: str) -> np.ndarray:
     arr = np.array(a, dtype=float)
     if arr.shape != shape:
         raise DimensionMismatch(f"{what} has shape {arr.shape}, expected {shape}")
+    _check_finite(arr, what)
     return _read_only(arr)
 
 

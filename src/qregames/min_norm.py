@@ -5,11 +5,14 @@ margin constraints on C -- at the target profile, each player's chosen
 action must undercut every alternative by at least epsilon -- plus the
 uniqueness cone.  Minimizing ||C||_F over that intersection is exactly the
 projection of the zero matrix onto it.  Its Lagrange dual has one
-nonnegative multiplier per margin and is smooth, with one cone projection
-(one `eigh`) per evaluation (Malick, SIAM J. Matrix Anal. Appl. 2004), so a
-projected Barzilai-Borwein iteration over the multipliers (Birgin, Martinez
-and Raydan, SIAM J. Optim. 2000) computes the projection without an
-external conic solver and without storing any m x m constraint normal.
+nonnegative multiplier per margin and is smooth (Malick, SIAM J. Matrix
+Anal. Appl. 2004), so a projected Barzilai-Borwein iteration over the
+multipliers (Birgin, Martinez and Raydan, SIAM J. Optim. 2000) computes the
+projection without an external conic solver.  Every matrix the dual
+projects is rank one, a t^T with t the indicator of the chosen actions,
+and its cone projection has a closed form; so an evaluation costs O(m),
+with no eigendecomposition and no m x m array, and the design's symmetric
+part has rank at most one.
 The margins are always jointly feasible with the cone: a block-diagonal C
 whose block i is the rank-one PSD v v^T, with v = 1 at the chosen action
 and v = c elsewhere, makes every alternative cost c - 1 more.
@@ -26,7 +29,6 @@ import numpy as np
 from .errors import DimensionMismatch
 from .game import Game, PlayerDims, PureTarget, _whole, pure_to_strategy
 from .objectives import kl_objective
-from .projections import _project_cone_sum
 from .results import DesignResult
 from .solver import solve_equilibrium
 
@@ -129,38 +131,76 @@ def _margin_structure(
     return cols, star, alt, beta
 
 
+def _off_block_sum(v: np.ndarray, dims: PlayerDims) -> np.ndarray:
+    """M v: entry k sums v over the blocks of the players other than k's owner."""
+    return v.sum() - np.add.reduceat(v, dims.starts)[dims.owner]
+
+
+def _psd_factor(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """q with q q^T / 4 the PSD projection of (a t^T + t a^T) / 2; zero when a is.
+
+    That symmetric matrix has one positive eigenvalue, (|a| |t| + a.t) / 2,
+    on the direction a / |a| + t / |t|.
+    """
+    norm_a, norm_t = float(np.linalg.norm(a)), float(np.linalg.norm(t))
+    if norm_a == 0.0:
+        return np.zeros_like(a)
+    return math.sqrt(norm_t / norm_a) * a + math.sqrt(norm_a / norm_t) * t
+
+
+def _project_rank_one(a: np.ndarray, t: np.ndarray, dims: PlayerDims) -> np.ndarray:
+    """project_cone_sum(outer(a, t)) in closed form.
+
+    The PSD part is q q^T / 4; the skew part, (a t^T - t a^T) / 2 off the
+    diagonal blocks and zero on them, is formed as in project_cone_sum.
+    """
+    q = _psd_factor(a, t)
+    C = np.outer(a, t)
+    C = C - C.T
+    C *= dims._off_block_half
+    C += 0.25 * np.outer(q, q)
+    return C
+
+
 def _dual_min_norm(
     dims: PlayerDims,
     margins: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     tol: float,
     max_iters: int,
-    start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """Project `start` (default: zero) onto (cone) intersect (margins).
+    """Project zero onto (cone) intersect (margins).
 
     Minimises the smooth dual theta(mu) = 1/2 ||C(mu)||^2 + beta^T mu over
-    mu >= 0, with C(mu) = Pi_K(start - A* mu) and grad theta = beta - A C(mu),
-    by projected Barzilai-Borwein steps under a nonmonotone Armijo test.
-    A* mu subtracts r = sum_k mu_k (e_star_k - e_alt_k) from the columns
-    `cols`; A C reads s = C[:, cols].sum(1) at the star and alternative rows.
+    mu >= 0, with C(mu) = Pi_K(-A* mu) and grad theta = beta - A C(mu), by
+    projected Barzilai-Borwein steps under a nonmonotone Armijo test.
+    -A* mu is a t^T, with t the indicator of the chosen columns `cols` and
+    a = sum_k mu_k (e_alt_k - e_star_k); A C reads s = C t at the star and
+    alternative rows.  With M the off-block sum (`_off_block_sum`) and q
+    from `_psd_factor`, the dual needs only
+        s = (q.t) q / 4 + (a o Mt - t o M(a o t)) / 2,
+        ||C||^2 = (||q||^2 / 4)^2 + ((a o a).Mt - (a o t).M(a o t)) / 2,
+    both O(m); C itself is formed once, on return.
     Returns (C, grad, iterations, converged); a margin's violation is
     -grad[k], bounded by the stopping test's projected-gradient norm.
     """
     cols, star, alt, beta = margins
     m = dims.total
-    Y0 = np.zeros((m, m)) if start is None else np.asarray(start, dtype=float)
+    t = np.zeros(m)
+    t[cols] = 1.0
+    Mt = _off_block_sum(t, dims)
 
     def evaluate(mu):
-        r = np.bincount(star, mu, m) - np.bincount(alt, mu, m)
-        Z = Y0.copy()
-        Z[:, cols] -= r[:, None]
-        C = _project_cone_sum(Z, dims)
-        s = C[:, cols].sum(axis=1)
+        a = np.bincount(alt, mu, m) - np.bincount(star, mu, m)
+        q = _psd_factor(a, t)
+        at = a * t
+        M_at = _off_block_sum(at, dims)
+        s = 0.25 * float(q @ t) * q + 0.5 * (a * Mt - t * M_at)
+        norm_sq = (0.25 * float(q @ q)) ** 2 + 0.5 * (float((a * a) @ Mt) - float(at @ M_at))
         grad = beta - (s[star] - s[alt])
-        return C, grad, 0.5 * float(np.vdot(C, C)) + float(beta @ mu)
+        return a, grad, 0.5 * norm_sq + float(beta @ mu)
 
     mu = np.zeros(len(beta))
-    C, grad, theta = evaluate(mu)
+    a, grad, theta = evaluate(mu)
     recent = deque([theta], maxlen=ARMIJO_WINDOW)
     # 1/||A||^2, the step of the descent lemma: A A^T has one block
     # n (I + 11^T) of size m_i - 1 per player.
@@ -168,26 +208,26 @@ def _dual_min_norm(
     iterations = 0
     while np.linalg.norm(mu - np.maximum(mu - grad, 0.0)) > tol:
         if iterations == max_iters:
-            return C, grad, iterations, False
+            return _project_rank_one(a, t, dims), grad, iterations, False
         d = np.maximum(mu - alpha * grad, 0.0) - mu
         slope = ARMIJO_SIGMA * float(d @ grad)
         ceiling = max(recent)
         step = 1.0
         while True:
             trial = mu + step * d
-            if np.array_equal(trial, mu):
-                return C, grad, iterations, False  # the step vanished in round-off
-            C_new, grad_new, theta_new = evaluate(trial)
+            if np.array_equal(trial, mu):  # the step vanished in round-off
+                return _project_rank_one(a, t, dims), grad, iterations, False
+            a_new, grad_new, theta_new = evaluate(trial)
             if theta_new <= ceiling + step * slope:
                 break
             step *= ARMIJO_SHRINK
         s_step, y_step = trial - mu, grad_new - grad
         sy = float(s_step @ y_step)
         alpha = min(float(s_step @ s_step) / sy, BB_STEP_MAX) if sy > 0 else BB_STEP_MAX
-        mu, C, grad = trial, C_new, grad_new
+        mu, a, grad = trial, a_new, grad_new
         recent.append(theta_new)
         iterations += 1
-    return C, grad, iterations, True
+    return _project_rank_one(a, t, dims), grad, iterations, True
 
 
 def solve_min_norm_design(

@@ -38,15 +38,17 @@ def _require_positive(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != shape:
         raise DimensionMismatch(f"strategy has shape {x.shape}, expected {shape}")
-    if not (x > 0).all():  # one comparison, as x <= 0 would be, but NaN fails it
-        _reject_nan(x)
-        raise NonPositiveStrategy("objective evaluated at a strategy with nonpositive entries")
+    _require_finite_positive(x, NonPositiveStrategy,
+                             "objective evaluated at a strategy with nonpositive entries")
     return x
 
 
-def _reject_nan(a: np.ndarray) -> None:
-    if np.isnan(a).any():
-        raise NonFiniteInput("objective evaluated at a strategy with NaN entries")
+def _require_finite_positive(v: np.ndarray, error: type[Exception], message: str) -> None:
+    """Raise NonFiniteInput on a NaN or infinite entry of v, else `error` on one <= 0."""
+    if not (0.0 < v.min() and v.max() < np.inf):  # a NaN minimum fails the first test
+        if not np.isfinite(v).all():
+            raise NonFiniteInput("objective evaluated at a strategy with NaN or infinite entries")
+        raise error(message)
 
 
 def kl_objective(
@@ -114,9 +116,8 @@ def _area_totals(n: int, k: int, x: np.ndarray) -> np.ndarray:
     if x.shape != (n * k,):
         raise DimensionMismatch(f"strategy has shape {x.shape}, expected ({n * k},)")
     t = x.reshape(n, k).sum(axis=0)
-    if not (t > 0).all():  # a NaN entry of x makes its area's total NaN
-        _reject_nan(t)
-        raise ZeroAreaTotal("an area receives zero aggregate service")
+    # a NaN or infinite entry of x makes its area's total NaN or infinite
+    _require_finite_positive(t, ZeroAreaTotal, "an area receives zero aggregate service")
     return t
 
 

@@ -41,19 +41,12 @@ def project_cone_sum(C: np.ndarray, dims: PlayerDims) -> np.ndarray:
 
     The set is the direct sum of two orthogonal cones: PSD symmetric
     matrices, and skew matrices with (necessarily zero) diagonal blocks.
-    Projecting each part independently is therefore exact.
+    Projecting each part independently is therefore exact.  The skew part
+    is formed in one pass as (C - C^T) * dims._off_block_half, which halves
+    it off the diagonal blocks and zeroes it on them, and is added into the
+    new PSD matrix, which is returned.
     """
-    return _project_cone_sum(_cost_matrix(C, dims), dims)
-
-
-def _project_cone_sum(C: np.ndarray, dims: PlayerDims) -> np.ndarray:
-    """project_cone_sum of a float m x m array its caller built.
-
-    The symmetric part is halved in place.  The skew part is formed in one
-    pass as (C - C^T) * dims._off_block_half, which halves it off the
-    diagonal blocks and zeroes it on them, and is added into the new PSD
-    matrix, which is returned.
-    """
+    C = _cost_matrix(C, dims)
     sym = C + C.T
     sym *= 0.5
     skew = C - C.T

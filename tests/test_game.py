@@ -10,6 +10,7 @@ from qregames import (
     Game,
     IndexOutOfRange,
     InvalidInput,
+    NonFiniteInput,
     NonPositiveLambda,
     PlayerDims,
     PureTarget,
@@ -75,6 +76,14 @@ class TestConstructorsReject:
     def test_lambda_out_of_range(self, lam):
         with pytest.raises(NonPositiveLambda):
             make_game(lam=lam)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["b", "C"])
+    def test_non_finite_cost_data(self, bad, where):
+        b, C = np.zeros(4), np.zeros((4, 4))
+        (b if where == "b" else C)[1] = bad
+        with pytest.raises(NonFiniteInput):
+            make_game(sizes=(2, 2), b=b, C=C)
 
     def test_constructed_game_passes_validation(self):
         g = make_game(lam=np.float64(0.25))
@@ -236,6 +245,15 @@ class TestWithMatrix:
     def test_wrong_shape_raises(self, shape):
         with pytest.raises(DimensionMismatch):
             make_game(sizes=(1, 4, 2)).with_matrix(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_raises(self, bad):
+        C = np.zeros((7, 7))
+        C[3, 5] = bad
+        with pytest.raises(NonFiniteInput):
+            make_game(sizes=(1, 4, 2)).with_matrix(C)
+        with pytest.raises(NonFiniteInput):
+            make_game(sizes=(1, 4, 2)).with_matrix(np.full((7, 7), bad))
 
 
 class TestGameJson:

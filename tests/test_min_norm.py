@@ -12,10 +12,11 @@ from qregames import (
     PureTarget,
     build_margin_constraints,
     max_margin_violation,
+    project_cone_sum,
     solve_min_norm_design,
 )
 from qregames.experiments import DEFAULT_EPS_GRID, build_collision_game
-from qregames.min_norm import _dual_min_norm, _margin_structure
+from qregames.min_norm import _margin_structure, _project_rank_one
 
 
 def two_action_game(b, lam=0.1):
@@ -34,6 +35,31 @@ def analytic_one_player_design():
     """
     s2 = np.sqrt(2.0)
     return np.array([[1.0, 1.0 + s2], [1.0 + s2, 3.0 + 2.0 * s2]]) / s2
+
+
+def feasible_point(C_star, dims, target, cons, rng):
+    """c C_star + S + tau D, a matrix that meets the margins and lies in the cone.
+
+    c is near 1, so the point can also lie closer to the origin than C_star.
+    S is a random cone element at a random scale: a PSD matrix plus a skew
+    one with zero diagonal blocks.  D is block-diagonal with block i = v v^T,
+    v = 1 at the chosen action and 2 elsewhere, so each unit of tau lowers
+    every margin's violation by exactly 1; tau is the largest violation of
+    c C_star + S.
+    """
+    m = dims.total
+    B = rng.normal(size=(m, int(rng.integers(1, m + 1))))
+    W = rng.normal(size=(m, m))
+    off_block = dims.owner[:, None] != dims.owner[None, :]
+    S = B @ B.T + (W - W.T) * off_block
+    S *= 10.0 ** rng.uniform(-4.0, 1.0) / np.linalg.norm(S)
+    D = np.zeros((m, m))
+    for i, chosen in enumerate(target.chosen):
+        v = np.full(dims.sizes[i], 2.0)
+        v[chosen - 1] = 1.0
+        D[dims.block(i), dims.block(i)] = np.outer(v, v)
+    Y = rng.uniform(0.9, 1.1) * C_star + S
+    return Y + max_margin_violation(Y, cons) * D
 
 
 class TestBuildMarginConstraints:
@@ -127,16 +153,13 @@ class TestSolveMinNormDesign:
         assert np.linalg.norm(C.value) == pytest.approx(result.c_norm, abs=1e-5)
 
     def test_min_norm_among_sampled_feasible_points(self, rng):
-        # feasible points generated by projecting random starts to feasibility
         g = two_action_game([0.0, 0.0])
         target = PureTarget([1])
         result = solve_min_norm_design(g, target, MinNormConfig(epsilon=1.0))
-        margins = _margin_structure(g, target, epsilon=1.0)
+        cons = build_margin_constraints(g, target, epsilon=1.0)
         for _ in range(1000):
-            start = 10.0 * rng.normal(size=(2, 2))
-            Y, _, _, ok = _dual_min_norm(g.dims, margins, tol=1e-9, max_iters=20_000,
-                                         start=start)
-            assert ok
+            Y = feasible_point(result.C, g.dims, target, cons, rng)
+            assert in_cone(Y, g.dims) and max_margin_violation(Y, cons) <= 1e-9
             assert result.c_norm <= np.linalg.norm(Y) + 1e-6
 
     def test_epsilon_zero_needs_nonzero_matrix(self):
@@ -228,13 +251,9 @@ class TestDualSolver:
         assert result.max_violation == pytest.approx(max_margin_violation(result.C, cons),
                                                      abs=1e-12)
         assert in_cone(result.C, dims)
-        margins = _margin_structure(g, target, epsilon=2.0)
         for _ in range(100):
-            start = 5.0 * rng.normal(size=(14, 14))
-            Y, _, _, ok = _dual_min_norm(dims, margins, tol=1e-9, max_iters=20_000,
-                                         start=start)
-            assert ok and in_cone(Y, dims)
-            assert max_margin_violation(Y, cons) <= 1e-9
+            Y = feasible_point(result.C, dims, target, cons, rng)
+            assert in_cone(Y, dims) and max_margin_violation(Y, cons) <= 1e-9
             assert result.c_norm <= np.linalg.norm(Y) + 1e-6
 
     def test_collision_grid_matches_reference_norms(self):
@@ -260,3 +279,58 @@ class TestDualSolver:
             tracemalloc.stop()
         assert result.converged
         assert peak <= 16 * m * m * 8
+
+
+RANK_ONE_LAYOUTS = [[3] * 4, [1, 4, 2, 7], [9] * 11, [2, 2]]
+
+
+class TestClosedFormProjection:
+    """The dual projects the rank-one a t^T in closed form, with no eigh."""
+
+    @pytest.mark.parametrize("sizes", RANK_ONE_LAYOUTS)
+    def test_matches_eigh_reference(self, rng, sizes):
+        dims = PlayerDims(sizes)
+        m = dims.total
+        for k in range(50):
+            t = np.zeros(m)
+            t[[off + int(rng.integers(s)) for off, s in zip(dims.offsets, sizes)]] = 1.0
+            if k % 2:
+                t = rng.normal(size=m)  # the closed form holds for any t
+            a = 10.0 ** rng.uniform(-3.0, 3.0) * rng.normal(size=m)
+            if k % 10 == 8:
+                a = np.zeros(m)  # the dual's first evaluation: exactly C = 0
+            if k % 10 == 9:
+                a = -rng.uniform(0.1, 5.0) * t  # no positive eigenvalue
+            reference = project_cone_sum(np.outer(a, t), dims)
+            scale = np.abs(np.outer(a, t)).max()
+            assert np.abs(_project_rank_one(a, t, dims) - reference).max() <= 1e-12 * scale
+
+    @staticmethod
+    def designs(rng):
+        game, target = build_collision_game()
+        for eps in DEFAULT_EPS_GRID:
+            yield game, target, eps
+        dims = PlayerDims([1, 4, 2, 7])
+        for _ in range(5):
+            g = Game(dims, 0.1, rng.normal(size=dims.total), np.zeros((14, 14)))
+            yield g, PureTarget([int(rng.integers(1, s + 1)) for s in dims.sizes]), 2.0
+
+    def test_symmetric_part_has_rank_at_most_one(self, rng):
+        for g, target, eps in self.designs(rng):
+            result = solve_min_norm_design(g, target, MinNormConfig(epsilon=eps))
+            w = np.linalg.eigvalsh(result.C + result.C.T)
+            assert result.converged and w[-1] > 0.0
+            assert np.abs(w[:-1]).max() <= 1e-12 * w[-1]
+
+    def test_runs_without_an_eigensolver(self, monkeypatch):
+        expected = [solve_min_norm_design(g, target, MinNormConfig(epsilon=eps))
+                    for g, target, eps in self.designs(np.random.default_rng(7))]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the min-norm design called an eigensolver")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for (g, target, eps), ref in zip(self.designs(np.random.default_rng(7)), expected):
+            result = solve_min_norm_design(g, target, MinNormConfig(epsilon=eps))
+            assert result.converged and np.array_equal(result.C, ref.C)

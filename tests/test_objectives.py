@@ -124,10 +124,19 @@ class TestWrongLength:
             kl_to_pure(np.full(3, 1 / 3), np.array([1.0, 0.0, 0.0, 0.0]))
 
 
-class TestNanStrategy:
-    """A strategy with a NaN entry is refused, not turned into a NaN value."""
+NON_FINITE_STRATEGIES = [
+    [np.nan, 0.5, 0.5, 0.5],
+    [0.5, 0.5, 0.0, np.nan],
+    [np.inf, 0.5, 0.5, 0.5],
+    [0.5, 0.5, 0.5, -np.inf],
+    [np.inf, 0.5, 0.5, -np.inf],
+]
 
-    @pytest.mark.parametrize("x", [[np.nan, 0.5, 0.5, 0.5], [0.5, 0.5, 0.0, np.nan]])
+
+class TestNonFiniteStrategy:
+    """A strategy with a NaN or infinite entry is refused, not turned into a value."""
+
+    @pytest.mark.parametrize("x", NON_FINITE_STRATEGIES)
     @pytest.mark.parametrize("objective", ["kl", "potential_delay"])
     @pytest.mark.parametrize("part", ["value", "gradient"])
     def test_objectives(self, x, objective, part):
@@ -137,9 +146,10 @@ class TestNanStrategy:
         with pytest.raises(NonFiniteInput):
             getattr(obj, part)(np.array(x))
 
-    def test_kl_to_pure(self):
+    @pytest.mark.parametrize("x", NON_FINITE_STRATEGIES)
+    def test_kl_to_pure(self, x):
         with pytest.raises(NonFiniteInput):
-            kl_to_pure(np.array([np.nan, 0.5, 0.5, 0.5]), np.array([1.0, 0.0, 1.0, 0.0]))
+            kl_to_pure(np.array(x), np.array([1.0, 0.0, 1.0, 0.0]))
 
 class TestKlToPure:
     def test_monotone_toward_target(self):

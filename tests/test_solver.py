@@ -72,8 +72,9 @@ class TestLogitResponse:
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_nonfinite_cost_raises(self):
-        g = single_player_game([np.inf, 0.0])
-        with pytest.raises(NonFiniteInput):
+        # b and C are finite, as a Game's always are, but b + C x overflows
+        g = single_player_game([1e308, 0.0], C=np.array([[1e308, 1e308], [0.0, 0.0]]))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteInput):
             logit_response(g, uniform_strategy(g.dims))
 
 
