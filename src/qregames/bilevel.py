@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DecompositionFailure, InnerSolveFailure
+from .errors import DecompositionFailure, InnerSolveFailure, InvalidInput
 from .game import Game, PlayerDims, _check_finite, _check_length, _whole
 from .objectives import PerformanceObjective
 from .projections import project_feasible
@@ -41,13 +41,12 @@ class BilevelConfig:
     inner: ClassVar[SolverConfig] = INNER_SOLVER_DEFAULT  # fixed, not a field: readable only
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "max_outer_iters", _whole(self.max_outer_iters, "max_outer_iters", ValueError)
-        )
+        max_outer_iters = _whole(self.max_outer_iters, "max_outer_iters")
+        object.__setattr__(self, "max_outer_iters", max_outer_iters)
         if not 0 < self.step_alpha < np.inf or not 0 < self.stop_eps < np.inf:
-            raise ValueError("step_alpha and stop_eps must be finite and > 0")
+            raise InvalidInput("step_alpha and stop_eps must be finite and > 0")
         if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
+            raise InvalidInput("max_outer_iters must be >= 1")
 
 
 def implicit_gradient(g: Game, x: np.ndarray, grad_psi_x: np.ndarray) -> np.ndarray:
@@ -72,8 +71,7 @@ def implicit_gradient(g: Game, x: np.ndarray, grad_psi_x: np.ndarray) -> np.ndar
     grad_psi_x = np.asarray(grad_psi_x, dtype=float)
     dims = g.dims
     _check_length(x, dims)
-    if grad_psi_x.shape != (dims.total,):
-        raise ValueError(f"gradient has shape {grad_psi_x.shape}, expected ({dims.total},)")
+    _check_length(grad_psi_x, dims, "performance gradient")
     _check_finite(x)
     _check_finite(grad_psi_x, "performance gradient")
     return _implicit_gradient(g, x, grad_psi_x)

@@ -90,36 +90,24 @@ def _parse_floats(text: str, flag: str) -> list[float]:
     return values
 
 
-def _checked(factory, *args, **kwargs):
-    """Build a config or objective, reporting a rejected value as bad input."""
-    try:
-        return factory(*args, **kwargs)
-    except ValueError as exc:
-        raise InvalidInput(str(exc)) from exc
-
-
 def _check_positive(value: float, flag: str) -> None:
     if not 0 < value < np.inf:
         raise InvalidInput(f"{flag} must be finite and > 0, got {value!r}")
 
 
 def _min_norm_config(args, epsilon: float) -> MinNormConfig:
-    return _checked(
-        MinNormConfig,
-        epsilon=epsilon, dykstra_tol=args.dykstra_tol, max_sweeps=args.max_sweeps,
-    )
+    return MinNormConfig(epsilon=epsilon, dykstra_tol=args.dykstra_tol, max_sweeps=args.max_sweeps)
 
 
 def _bilevel_config(args) -> BilevelConfig:
-    return _checked(
-        BilevelConfig,
-        step_alpha=args.alpha, stop_eps=args.stop_eps, max_outer_iters=args.max_outer,
+    return BilevelConfig(
+        step_alpha=args.alpha, stop_eps=args.stop_eps, max_outer_iters=args.max_outer
     )
 
 
 def _kl(args, target_x: np.ndarray, dims):
     delta = KL_SMOOTHING_DEFAULT if args.delta is None else args.delta
-    return _checked(kl_objective, target_x, dims, smoothing_delta=delta)
+    return kl_objective(target_x, dims, smoothing_delta=delta)
 
 
 # ---------------------------------------------------------------- solve ----
@@ -127,7 +115,7 @@ def _kl(args, target_x: np.ndarray, dims):
 
 def _cmd_solve(args) -> int:
     game = _load_game_with_overrides(args)
-    cfg = _checked(SolverConfig, residual_tol=args.residual_tol, max_iters=args.max_iters)
+    cfg = SolverConfig(residual_tol=args.residual_tol, max_iters=args.max_iters)
     outcome = solve_equilibrium(game, cfg)
     payload = {
         "x": outcome.x.tolist(),
@@ -148,8 +136,6 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check(args) -> int:
     game = _load_game_with_overrides(args)
-    if not 0 <= args.tol < np.inf:
-        raise InvalidInput("--tol must be finite and >= 0")
     report = check_assumption(game, tol=args.tol)
     payload = report.to_dict()
     payload["seed"] = args.seed
@@ -191,9 +177,8 @@ def _cmd_design_bilevel(args) -> int:
         if args.target is not None or args.delta is not None:
             raise InvalidInput("--target and --delta apply to --objective kl only")
         target_x = None
-        obj = _checked(potential_delay_objective, game.dims)
+        obj = potential_delay_objective(game.dims)
     cfg = _bilevel_config(args)
-    _check_positive(args.rho, "--rho")
     result = run_projected_gradient(game, obj, args.rho, cfg)
     extra = {}
     if target_x is not None:
@@ -209,8 +194,6 @@ def _cmd_design_bilevel(args) -> int:
 def _cmd_simulate(args) -> int:
     cost = np.array(_parse_floats(args.cost, "--cost"))
     _check_positive(args.lam, "--lambda")
-    if args.samples < 1:
-        raise InvalidInput("--samples must be >= 1")
     freq = simulate_gumbel_choice(cost, args.lam, args.samples, args.seed)
     z = -cost / args.lam
     e = np.exp(z - z.max())

@@ -60,7 +60,10 @@ class InnerSolveFailure(QreGamesError):
     """The equilibrium solve inside the design loop did not converge."""
 
 
-class InvalidInput(QreGamesError):
-    """Malformed JSON input or command-line value, or a constructor argument
-    of the wrong kind: a count or action that is not a whole number, or a
-    lambda that is not a real number (true/false count as neither)."""
+class InvalidInput(QreGamesError, ValueError):
+    """An argument the library rejects: malformed JSON input or command-line
+    value, a count or action that is not a whole number, a lambda that is
+    not a real number (true/false count as neither), or a config field,
+    tolerance, radius, smoothing weight or sample count out of its range.
+
+    It is also a ValueError, so `except ValueError` catches it."""

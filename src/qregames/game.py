@@ -38,13 +38,13 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _whole(v, what: str, error: type[Exception]) -> int:
-    """v as an int if it is a whole number (2.0 is, True and "2" are not), else raise."""
+def _whole(v, what: str) -> int:
+    """v as an int if it is a whole number (2.0 is, True and "2" are not), else InvalidInput."""
     if isinstance(v, numbers.Real) and not isinstance(v, bool) and (
         isinstance(v, numbers.Integral) or float(v).is_integer()
     ):
         return int(v)
-    raise error(f"{what} must be a whole number, got {v!r}")
+    raise InvalidInput(f"{what} must be a whole number, got {v!r}")
 
 
 def _check_lambda(lam) -> None:
@@ -77,7 +77,7 @@ class PlayerDims:
     sizes: tuple[int, ...]
 
     def __init__(self, sizes: Iterable[int]):
-        sizes = tuple(_whole(s, "action count", InvalidInput) for s in sizes)
+        sizes = tuple(_whole(s, "action count") for s in sizes)
         if len(sizes) < 1 or any(s < 1 for s in sizes):
             raise DimensionMismatch(f"need n >= 1 players with m_i >= 1 actions, got {sizes}")
         object.__setattr__(self, "sizes", sizes)
@@ -199,7 +199,7 @@ class PureTarget:
     chosen: tuple[int, ...]
 
     def __init__(self, chosen: Iterable[int]):
-        chosen = tuple(_whole(c, "chosen action", InvalidInput) for c in chosen)
+        chosen = tuple(_whole(c, "chosen action") for c in chosen)
         object.__setattr__(self, "chosen", chosen)
 
 
@@ -252,8 +252,11 @@ def check_assumption(g: Game, tol: float = ASSUMPTION_TOL) -> AssumptionReport:
     Checks C + C^T positive semidefinite (up to -tol on the smallest
     eigenvalue) and symmetric diagonal blocks (up to tol in Frobenius norm).
     With lambda > 0, which every Game has, the two together guarantee a
-    unique equilibrium; `lambda_ok` is therefore always True.
+    unique equilibrium; `lambda_ok` is therefore always True.  A NaN,
+    infinite or negative tol raises InvalidInput.
     """
+    if not 0 <= tol < math.inf:
+        raise InvalidInput(f"tol must be finite and >= 0, got {tol!r}")
     min_eig, asym = _cone_defects(g.C, g.dims)
     return AssumptionReport(
         min_eig_sym=min_eig,
@@ -282,8 +285,9 @@ def check_strategy(x: np.ndarray, dims: PlayerDims) -> None:
     """Raise unless every block of x is a probability vector."""
     x = np.asarray(x, dtype=float)
     _check_length(x, dims)
-    if not np.all((x >= 0) & np.isfinite(x)):
-        raise DimensionMismatch("strategy has negative or non-finite entries")
+    _check_finite(x)
+    if not np.all(x >= 0):
+        raise DimensionMismatch("strategy has negative entries")
     sums = np.add.reduceat(x, dims.starts)
     off = np.flatnonzero(np.abs(sums - 1.0) > SIMPLEX_TOL)
     if off.size:
@@ -322,29 +326,22 @@ def game_from_dict(d: dict) -> Game:
     try:
         if _holds_bool(d["b"]) or _holds_bool(d["C"]):  # numpy would read them as 1 and 0
             raise InvalidInput("b and C must hold numbers, not true or false")
-        dims = PlayerDims(d["dims"])
-        b = np.asarray(d["b"], dtype=float)
-        C = np.asarray(d["C"], dtype=float)
-        finite = math.isfinite(d["lambda"]) and np.all(np.isfinite(b)) and np.all(np.isfinite(C))
+        return Game(PlayerDims(d["dims"]), d["lambda"], d["b"], d["C"])
+    except InvalidInput:  # already says what is wrong
+        raise
     # a string, a ragged list, a scalar in place of a list, an integer too large for a
-    # float, or lists nested too deep to walk
-    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+    # float, lists nested too deep to walk, or a count, shape or entry that Game rejects
+    except (TypeError, ValueError, OverflowError, RecursionError,
+            DimensionMismatch, NonFiniteInput) as exc:
         raise InvalidInput(f"malformed game JSON: {exc}") from exc
-    m = dims.total
-    if b.shape != (m,):
-        raise InvalidInput(f"b has length {b.size}, expected {m}")
-    if C.shape != (m, m):
-        raise InvalidInput(f"C must be {m} rows of {m} numbers")
-    if not finite:
-        raise InvalidInput("game JSON contains non-finite numbers")
-    return Game(dims, d["lambda"], b, C)
 
 
 def load_game(path: str | Path) -> Game:
     try:
         with open(path) as fh:
             data = json.load(fh, parse_constant=_reject_constant)
-    except FileNotFoundError:  # reported as such, not as malformed input
+    # a missing file is reported as such, and _reject_constant's error names its token
+    except (FileNotFoundError, InvalidInput):
         raise
     except OSError as exc:
         raise InvalidInput(f"cannot read game JSON: {exc}") from exc

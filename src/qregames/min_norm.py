@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidInput
 from .game import Game, PlayerDims, PureTarget, _whole, pure_to_strategy
 from .objectives import kl_objective
 from .results import DesignResult
@@ -69,11 +69,11 @@ class MinNormConfig:
     max_sweeps: int = 50_000  # cap on dual iterations
 
     def __post_init__(self):
-        object.__setattr__(self, "max_sweeps", _whole(self.max_sweeps, "max_sweeps", ValueError))
+        object.__setattr__(self, "max_sweeps", _whole(self.max_sweeps, "max_sweeps"))
         if not 0 <= self.epsilon < math.inf:
-            raise ValueError("epsilon must be finite and >= 0")
+            raise InvalidInput("epsilon must be finite and >= 0")
         if not 0 < self.dykstra_tol < math.inf or self.max_sweeps < 1:
-            raise ValueError("dykstra_tol must be finite and > 0, and max_sweeps >= 1")
+            raise InvalidInput("dykstra_tol must be finite and > 0, and max_sweeps >= 1")
 
 
 def build_margin_constraints(

@@ -8,7 +8,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput, NonPositiveStrategy, ZeroAreaTotal
+from .errors import (
+    DimensionMismatch,
+    InvalidInput,
+    NonFiniteInput,
+    NonPositiveStrategy,
+    ZeroAreaTotal,
+)
 from .game import PlayerDims, _check_length, check_strategy
 
 # Mixing weight toward the uniform strategy when a target has zero entries.
@@ -64,7 +70,7 @@ def kl_objective(
     """
     check_strategy(target, dims)
     if not 0 <= smoothing_delta <= 1:
-        raise ValueError("smoothing_delta must lie in [0, 1]")
+        raise InvalidInput("smoothing_delta must lie in [0, 1]")
     log_t = np.log(smooth_target(target, dims, smoothing_delta))
     return PerformanceObjective(
         value=partial(_kl_value, log_t), gradient=partial(_kl_gradient, log_t), name="kl"
@@ -105,7 +111,7 @@ def potential_delay_objective(dims: PlayerDims) -> PerformanceObjective:
     """
     sizes = set(dims.sizes)
     if len(sizes) != 1:
-        raise ValueError("potential delay needs the same action count for every player")
+        raise InvalidInput("potential delay needs the same action count for every player")
     k = dims.sizes[0]
     value, gradient = partial(_delay_value, dims.n, k), partial(_delay_gradient, dims.n, k)
     return PerformanceObjective(value=value, gradient=gradient, name="potential_delay")

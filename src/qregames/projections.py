@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, EigendecompositionFailure
+from .errors import DimensionMismatch, EigendecompositionFailure, InvalidInput
 from .game import PlayerDims, _cone_defects
 
 
@@ -67,7 +67,7 @@ def project_feasible(C: np.ndarray, dims: PlayerDims, rho: float) -> np.ndarray:
     formula.
     """
     if not 0 < rho < np.inf:
-        raise ValueError("rho must be finite and > 0")
+        raise InvalidInput(f"rho must be finite and > 0, got {rho!r}")
     A = project_cone_sum(C, dims)
     flat = A.ravel()
     norm = math.sqrt(flat.dot(flat))

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonFiniteInput, NonPositiveStrategy
+from .errors import InvalidInput, NonFiniteInput, NonPositiveStrategy
 from .game import (
     Game,
     _check_finite,
@@ -41,11 +41,11 @@ class SolverConfig:
     max_iters: int = 200
 
     def __post_init__(self):
-        object.__setattr__(self, "max_iters", _whole(self.max_iters, "max_iters", ValueError))
+        object.__setattr__(self, "max_iters", _whole(self.max_iters, "max_iters"))
         if not 0 < self.residual_tol < np.inf:
-            raise ValueError("residual_tol must be finite and > 0")
+            raise InvalidInput("residual_tol must be finite and > 0")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise InvalidInput("max_iters must be >= 1")
 
 
 _DEFAULT_CONFIG = SolverConfig()
@@ -269,9 +269,9 @@ def simulate_gumbel_choice(
     _check_lambda(lam)
     if not np.all(np.isfinite(cost)):
         raise NonFiniteInput("cost vector is not finite")
-    samples = _whole(samples, "samples", ValueError)
+    samples = _whole(samples, "samples")
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise InvalidInput(f"samples must be >= 1, got {samples}")
     k = cost.shape[0]
     rng = np.random.default_rng(seed)
     counts = np.zeros(k, dtype=np.int64)

@@ -112,7 +112,7 @@ class TestImplicitGradient:
     def test_rejects_wrong_gradient_length(self, rng):
         g = random_certified_game(rng, [2, 2])
         out = solve_equilibrium(g)
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch):
             implicit_gradient(g, out.x, np.zeros(3))
 
     def test_rejects_wrong_strategy_length(self, rng):

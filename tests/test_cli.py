@@ -286,6 +286,12 @@ class TestDeterminismAndErrors:
         assert main(["solve", "--game", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:NonPositiveLambda:")
 
+    def test_overflowing_lambda_rejected(self, tmp_path, capsys):
+        path = tmp_path / "inf.json"
+        path.write_text('{"lambda": 1e999, "dims": [2], "b": [0, 1], "C": [[0, 0], [0, 0]]}')
+        assert main(["solve", "--game", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:NonPositiveLambda:")
+
     def test_bad_flag_value(self, capsys):
         assert main(["experiment", "fair", "--rho-grid", "abc"]) == 2
         assert capsys.readouterr().err.startswith("error:InvalidInput:")

@@ -119,6 +119,11 @@ class TestSweeps:
         assert rows == [{"rho": 1.0, "error": "ZeroAreaTotal: no service"},
                         {"rho": 2.0, "error": "ZeroAreaTotal: no service"}]
 
+    def test_rejected_radius_gives_an_error_row(self):
+        game = build_fair_game()
+        rows = sweep_bilevel_rho([0.0], potential_delay_objective(game.dims), game)
+        assert rows == [{"rho": 0.0, "error": "InvalidInput: rho must be finite and > 0, got 0.0"}]
+
     def test_bilevel_rows_satisfy_stationarity(self):
         game, target = build_collision_game()
         from qregames import kl_objective, pure_to_strategy

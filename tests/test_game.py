@@ -138,6 +138,14 @@ class TestCheckAssumption:
             assert rep.diag_block_asymmetry == pytest.approx(asym, rel=1e-14, abs=1e-300)
             assert rep.lambda_ok
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(InvalidInput):
+            check_assumption(make_game(C=np.eye(6)), tol=tol)
+
+    def test_accepts_zero_tol(self):
+        assert check_assumption(make_game(C=np.eye(6)), tol=0.0).passed
+
 
 class TestPureToStrategy:
     def test_collision_target(self):
@@ -175,7 +183,9 @@ class TestCheckStrategy:
         [1.0, 0.0, 0.5],
     ])
     def test_rejects(self, x):
-        with pytest.raises(DimensionMismatch):
+        # a NaN or infinite entry is reported as such, before the simplex tests
+        error = DimensionMismatch if np.isfinite(x).all() else NonFiniteInput
+        with pytest.raises(error):
             check_strategy(np.array(x), PlayerDims([2, 2]))
 
     def test_accepts_probability_blocks(self):
@@ -294,11 +304,20 @@ class TestGameJson:
         ("b", [True, 1]),
         ("C", [[0, False], [0, 0]]),
         pytest.param("b", functools.reduce(lambda v, _: [v], range(100_000), 0), id="deep-b"),
+        pytest.param("b", [np.inf, 1.0], id="inf-b"),  # Game's kinds, reported as bad input
+        pytest.param("dims", [0], id="zero-dims"),
     ])
     def test_rejects_malformed_values(self, key, value):
         d = game_to_dict(make_game(sizes=(2,)))
         d[key] = value
         with pytest.raises(InvalidInput):
+            game_from_dict(d)
+
+    @pytest.mark.parametrize("lam", [np.inf, np.nan, 0.0])
+    def test_non_finite_lambda_is_non_positive(self, lam):
+        d = game_to_dict(make_game(sizes=(2,)))
+        d["lambda"] = lam
+        with pytest.raises(NonPositiveLambda):
             game_from_dict(d)
 
     def test_accepts_whole_float_dims(self):

@@ -31,7 +31,7 @@ def kl_direct(x, t, dims):
 class TestKlObjective:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_target(self, bad):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(NonFiniteInput):
             kl_objective(np.array([bad, 1.0, 0.5, 0.5]), PlayerDims([2, 2]))
 
     def test_zero_at_smoothed_target(self, rng):

@@ -1,7 +1,13 @@
 """The public surface: the names `qregames` exports, the settable fields of
-each config and the fields of a solve."""
+each config, the fields of a solve and the errors the library raises."""
 
+import ast
+import builtins
 import dataclasses
+from pathlib import Path
+
+import numpy as np
+import pytest
 
 import qregames
 from qregames import solve_equilibrium
@@ -82,3 +88,40 @@ def test_config_fields_are_pinned():
     assert names(qregames.MinNormConfig) == ("epsilon", "dykstra_tol", "max_sweeps")
     assert names(qregames.BilevelConfig) == ("step_alpha", "stop_eps", "max_outer_iters")
     assert qregames.BilevelConfig().inner.residual_tol == 1e-20
+
+
+@pytest.mark.parametrize("call", [
+    lambda: qregames.SolverConfig(residual_tol=0.0),
+    lambda: qregames.SolverConfig(max_iters=2.5),
+    lambda: qregames.MinNormConfig(epsilon=-1.0),
+    lambda: qregames.MinNormConfig(max_sweeps=0),
+    lambda: qregames.BilevelConfig(step_alpha=np.inf),
+    lambda: qregames.BilevelConfig(max_outer_iters=True),
+    lambda: qregames.project_feasible(np.eye(2), qregames.PlayerDims([2]), 0.0),
+    lambda: qregames.kl_objective(np.array([1.0, 0.0]), qregames.PlayerDims([2]),
+                                  smoothing_delta=2.0),
+    lambda: qregames.potential_delay_objective(qregames.PlayerDims([2, 3])),
+    lambda: qregames.simulate_gumbel_choice(np.zeros(2), 1.0, 0, seed=0),
+], ids=["solver-tol", "solver-iters", "min-norm-epsilon", "min-norm-sweeps", "bilevel-alpha",
+        "bilevel-iters", "rho", "smoothing-delta", "mixed-sizes", "samples"])
+def test_rejected_argument_is_invalid_input(call):
+    with pytest.raises(qregames.InvalidInput) as info:
+        call()
+    assert isinstance(info.value, ValueError)  # callers that catch the builtin still do
+
+
+def test_library_raises_only_its_own_errors():
+    """No `raise` of a builtin exception class in the library: an untyped
+    error would reach the CLI as exit 1 `error:Internal`.  A bare re-raise
+    (such as load_game's FileNotFoundError) is allowed."""
+    builtin_errors = {name for name, obj in vars(builtins).items()
+                      if isinstance(obj, type) and issubclass(obj, BaseException)}
+    offenders = []
+    for path in sorted(Path(qregames.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(target, ast.Name) and target.id in builtin_errors:
+                offenders.append(f"{path.name}:{node.lineno}: raise {target.id}")
+    assert offenders == []
