@@ -3,8 +3,9 @@
 The equilibrium is an implicit function of the cost matrix through its
 fixed-point condition, so the chain rule plus the implicit function theorem
 give the gradient of any smooth performance function with respect to C.  A
-projected gradient loop with an Armijo line search then descends that gradient
-over the feasible set (uniqueness cone intersected with a Frobenius ball).
+projected gradient loop then descends that gradient over the feasible set
+(uniqueness cone intersected with a Frobenius ball), with an Armijo line search
+along the feasible direction: one projection per step.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DecompositionFailure, InnerSolveFailure, InvalidInput
-from .game import Game, PlayerDims, _check_finite, _check_length, _whole
+from .game import Game, _check_finite, _check_length, _real, _whole
 from .objectives import PerformanceObjective
 from .projections import project_feasible
 from .results import DesignResult
@@ -26,8 +27,8 @@ from .solver import SolverConfig, cost_residual_jacobian, solve_equilibrium
 # tolerance, otherwise solver noise masks the gradient near stationarity.
 INNER_SOLVER_DEFAULT = SolverConfig(residual_tol=1e-20)
 
-# Armijo line search on the projection arc: sufficient-decrease constant,
-# step shrink factor, and the halvings allowed before the run gives up.
+# Armijo line search along the feasible direction: sufficient-decrease
+# constant, step shrink factor, and the halvings allowed before the run gives up.
 ARMIJO_SIGMA = 1e-4
 HALVING = 0.5
 MAX_HALVINGS = 30
@@ -35,7 +36,7 @@ MAX_HALVINGS = 30
 
 @dataclass(frozen=True)
 class BilevelConfig:
-    step_alpha: float = 0.1  # first trial step of each iteration's line search
+    step_alpha: float = 0.1  # gradient step projected once per iteration: the first trial
     stop_eps: float = 1e-6  # converged once the step_alpha projected step moves C at most this
     max_outer_iters: int = 5000
     inner: ClassVar[SolverConfig] = INNER_SOLVER_DEFAULT  # fixed, not a field: readable only
@@ -43,8 +44,9 @@ class BilevelConfig:
     def __post_init__(self):
         max_outer_iters = _whole(self.max_outer_iters, "max_outer_iters")
         object.__setattr__(self, "max_outer_iters", max_outer_iters)
-        if not 0 < self.step_alpha < np.inf or not 0 < self.stop_eps < np.inf:
-            raise InvalidInput("step_alpha and stop_eps must be finite and > 0")
+        for name in ("step_alpha", "stop_eps"):
+            if not 0 < _real(getattr(self, name), name) < np.inf:
+                raise InvalidInput(f"{name} must be finite and > 0")
         if self.max_outer_iters < 1:
             raise InvalidInput("max_outer_iters must be >= 1")
 
@@ -102,12 +104,15 @@ def run_projected_gradient(
 
     Starts at C = P(g0.C), P the projection onto the feasible set, with a cold
     equilibrium solve.  Each iteration takes the implicit gradient g at C and
-    records (iteration, obj at C, ||P(C - step_alpha*g) - C||); it stops,
-    converged, once that norm is at most stop_eps.  Otherwise an Armijo search
-    along the projection arc C(t) = P(C - t*g) (Bertsekas 1976) halves t from
-    step_alpha, never growing it, until obj(C(t)) <= obj(C) + ARMIJO_SIGMA *
-    <g, C(t) - C>; C(t) is the next iterate.  Trial solves start from the
-    equilibrium of C; an unconverged one raises InnerSolveFailure.
+    records (iteration, obj at C, ||D||) with D = P(C - step_alpha*g) - C; it
+    stops, converged, once ||D|| is at most stop_eps.  Otherwise an Armijo
+    search along the feasible direction D (Bertsekas, Nonlinear Programming,
+    sec. 2.2) tries P(C - step_alpha*g) itself, then C + s*D for s halved from
+    1, never growing, until obj(trial) <= obj(C) + s * ARMIJO_SIGMA * <g, D>;
+    the trial is the next iterate.  The feasible set is convex, so every trial
+    is feasible, and the step's one projection serves its whole search.  Trial
+    solves start from the equilibrium of C; an unconverged one raises
+    InnerSolveFailure.
 
     Under sufficient decrease the recorded objective never rises, so the last
     iterate is the best.  A run ends unconverged at its last iterate when it
@@ -123,20 +128,24 @@ def run_projected_gradient(
 
     for iteration in range(1, cfg.max_outer_iters + 1):
         g = _implicit_gradient(game, x, obj.gradient(x))
-        t = cfg.step_alpha
-        C_trial, D = _trial(C, g, t, dims, rho)
+        Y = cfg.step_alpha * g
+        np.subtract(C, Y, out=Y)
+        P = project_feasible(Y, dims, rho)
+        D = P - C
         step_norm = math.sqrt(D.ravel().dot(D.ravel()))
         history.append((iteration, value, step_norm))
         if step_norm <= cfg.stop_eps or iteration == cfg.max_outer_iters:
             break
+        slope = ARMIJO_SIGMA * float(np.vdot(g, D))
+        C_trial, s = P, 1.0
         for _ in range(MAX_HALVINGS + 1):
             game_trial = g0.with_matrix(C_trial)
             x_trial = _solve(game_trial, cfg, x, iteration)
             value_trial = obj.value(x_trial)
-            if value_trial <= value + ARMIJO_SIGMA * float(np.vdot(g, D)):
+            if value_trial <= value + s * slope:
                 break
-            t *= HALVING
-            C_trial, D = _trial(C, g, t, dims, rho)
+            s *= HALVING
+            C_trial = C + s * D
         else:
             break
         game, C, x, value = game_trial, C_trial, x_trial, value_trial
@@ -150,16 +159,6 @@ def run_projected_gradient(
         converged=history[-1][2] <= cfg.stop_eps,
         history=tuple(history),
     )
-
-
-def _trial(
-    C: np.ndarray, g: np.ndarray, t: float, dims: PlayerDims, rho: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The trial point P(C - t*g) on the projection arc, and its step from C."""
-    Y = t * g
-    np.subtract(C, Y, out=Y)
-    C_trial = project_feasible(Y, dims, rho)
-    return C_trial, C_trial - C
 
 
 def _solve(g: Game, cfg: BilevelConfig, warm: np.ndarray | None, iteration: int) -> np.ndarray:

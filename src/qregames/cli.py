@@ -328,7 +328,8 @@ def _build_parser() -> _Parser:
 
     def bilevel_flags(p):
         p.add_argument("--alpha", type=float, default=BilevelConfig.step_alpha,
-                       help="first trial step of the line search")
+                       help="gradient step projected once per outer step; "
+                            "the line search's first trial")
         p.add_argument("--stop-eps", type=float, default=BilevelConfig.stop_eps)
         p.add_argument("--max-outer", type=int, default=BilevelConfig.max_outer_iters)
 

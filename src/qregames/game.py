@@ -47,11 +47,16 @@ def _whole(v, what: str) -> int:
     raise InvalidInput(f"{what} must be a whole number, got {v!r}")
 
 
-def _check_lambda(lam) -> None:
+def _real(v, what: str):
+    """v itself if it is a real number (True and "1" are not), else InvalidInput."""
     # float first: with_matrix runs this per design trial, and the ABC test is over 10x slower
-    if not isinstance(lam, float) and (isinstance(lam, bool) or not isinstance(lam, numbers.Real)):
-        raise InvalidInput(f"lambda must be a real number, got {lam!r}")
-    if not 0 < lam < math.inf:
+    if isinstance(v, float) or (isinstance(v, numbers.Real) and not isinstance(v, bool)):
+        return v
+    raise InvalidInput(f"{what} must be a real number, got {v!r}")
+
+
+def _check_lambda(lam) -> None:
+    if not 0 < _real(lam, "lambda") < math.inf:
         raise NonPositiveLambda(f"lambda must be finite and > 0, got {lam}")
 
 
@@ -255,7 +260,7 @@ def check_assumption(g: Game, tol: float = ASSUMPTION_TOL) -> AssumptionReport:
     unique equilibrium; `lambda_ok` is therefore always True.  A NaN,
     infinite or negative tol raises InvalidInput.
     """
-    if not 0 <= tol < math.inf:
+    if not 0 <= _real(tol, "tol") < math.inf:
         raise InvalidInput(f"tol must be finite and >= 0, got {tol!r}")
     min_eig, asym = _cone_defects(g.C, g.dims)
     return AssumptionReport(

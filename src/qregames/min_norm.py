@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput
-from .game import Game, PlayerDims, PureTarget, _whole, pure_to_strategy
+from .game import Game, PlayerDims, PureTarget, _real, _whole, pure_to_strategy
 from .objectives import kl_objective
 from .results import DesignResult
 from .solver import solve_equilibrium
@@ -70,9 +70,9 @@ class MinNormConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "max_sweeps", _whole(self.max_sweeps, "max_sweeps"))
-        if not 0 <= self.epsilon < math.inf:
+        if not 0 <= _real(self.epsilon, "epsilon") < math.inf:
             raise InvalidInput("epsilon must be finite and >= 0")
-        if not 0 < self.dykstra_tol < math.inf or self.max_sweeps < 1:
+        if not 0 < _real(self.dykstra_tol, "dykstra_tol") < math.inf or self.max_sweeps < 1:
             raise InvalidInput("dykstra_tol must be finite and > 0, and max_sweeps >= 1")
 
 

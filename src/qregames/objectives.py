@@ -15,7 +15,7 @@ from .errors import (
     NonPositiveStrategy,
     ZeroAreaTotal,
 )
-from .game import PlayerDims, _check_length, check_strategy
+from .game import PlayerDims, _check_length, _real, check_strategy
 
 # Mixing weight toward the uniform strategy when a target has zero entries.
 # Without it, the divergence to a pure target is infinite.
@@ -69,7 +69,7 @@ def kl_objective(
     ln x - ln t + 1.  Smoothing keeps the value finite for pure targets.
     """
     check_strategy(target, dims)
-    if not 0 <= smoothing_delta <= 1:
+    if not 0 <= _real(smoothing_delta, "smoothing_delta") <= 1:
         raise InvalidInput("smoothing_delta must lie in [0, 1]")
     log_t = np.log(smooth_target(target, dims, smoothing_delta))
     return PerformanceObjective(

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, EigendecompositionFailure, InvalidInput
-from .game import PlayerDims, _cone_defects
+from .game import PlayerDims, _cone_defects, _real
 
 
 def _cost_matrix(C: np.ndarray, dims: PlayerDims) -> np.ndarray:
@@ -66,7 +66,7 @@ def project_feasible(C: np.ndarray, dims: PlayerDims, rho: float) -> np.ndarray:
     The norm is the square root of the flat dot product, np.linalg.norm's own
     formula.
     """
-    if not 0 < rho < np.inf:
+    if not 0 < _real(rho, "rho") < np.inf:
         raise InvalidInput(f"rho must be finite and > 0, got {rho!r}")
     A = project_cone_sum(C, dims)
     flat = A.ravel()

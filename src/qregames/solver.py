@@ -14,12 +14,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput, NonFiniteInput, NonPositiveStrategy
+from .errors import DimensionMismatch, InvalidInput, NonFiniteInput, NonPositiveStrategy
 from .game import (
     Game,
     _check_finite,
     _check_lambda,
     _check_length,
+    _real,
     _whole,
     check_assumption,
     uniform_strategy,
@@ -42,7 +43,7 @@ class SolverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "max_iters", _whole(self.max_iters, "max_iters"))
-        if not 0 < self.residual_tol < np.inf:
+        if not 0 < _real(self.residual_tol, "residual_tol") < np.inf:
             raise InvalidInput("residual_tol must be finite and > 0")
         if self.max_iters < 1:
             raise InvalidInput("max_iters must be >= 1")
@@ -264,8 +265,11 @@ def simulate_gumbel_choice(
     Draws Gumbel(0, lam) noise by inverse CDF, -lam*ln(-ln(U)), and picks
     argmax_k(-cost_k + noise_k) per sample; this max-stable form reproduces
     the logit response exactly in distribution.  Deterministic given seed.
+    cost must be a non-empty 1-D vector, else DimensionMismatch.
     """
     cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 1 or cost.size == 0:
+        raise DimensionMismatch(f"cost must be a non-empty vector, got shape {cost.shape}")
     _check_lambda(lam)
     if not np.all(np.isfinite(cost)):
         raise NonFiniteInput("cost vector is not finite")

@@ -14,6 +14,7 @@ from qregames import (
     PerformanceObjective,
     PlayerDims,
     SolverConfig,
+    check_assumption,
     implicit_gradient,
     in_feasible_set,
     kl_objective,
@@ -173,13 +174,27 @@ class TestInnerSolveRetry:
         assert warm_flags == expected_flags
 
 
+def collision_kl():
+    game, target = build_collision_game()
+    return game, kl_objective(pure_to_strategy(target, game.dims), game.dims)
+
+
+def fair_delay():
+    game = build_fair_game()
+    return game, potential_delay_objective(game.dims)
+
+
 class TestOuterStepWork:
-    def test_one_projection_and_one_solve_per_step(self, monkeypatch):
-        # collision rho=0.1 takes no backtrack: the start and each step's
-        # first trial are the only projections, and every step but the last
-        # solves its accepted trial
-        game, target = build_collision_game()
-        obj = kl_objective(pure_to_strategy(target, game.dims), game.dims)
+    @pytest.mark.parametrize("row, rho, backtracks, min_steps", [
+        (collision_kl, 0.1, False, 100),  # rejects no trial
+        (fair_delay, 1.0, True, 20),  # rejects trials: 22 steps, 34 solves
+    ], ids=["collision-0.1", "fair-1.0"])
+    def test_one_projection_and_one_solve_per_step(self, monkeypatch, row, rho, backtracks,
+                                                   min_steps):
+        # the start and each step's P(C - step_alpha*g) are the only
+        # projections, a rejected trial C + s*D adds a solve and no
+        # projection, and every step but the last solves its accepted trial
+        game, obj = row()
         calls = {"project_feasible": 0, "solve_equilibrium": 0}
 
         def counting(name):
@@ -192,10 +207,32 @@ class TestOuterStepWork:
 
         counting("project_feasible")
         counting("solve_equilibrium")
-        result = run_projected_gradient(game, obj, rho=0.1)
-        assert result.converged and result.outer_iterations > 100
+        result = run_projected_gradient(game, obj, rho)
+        assert result.converged and result.outer_iterations > min_steps
         assert calls["project_feasible"] == result.outer_iterations + 1
-        assert calls["solve_equilibrium"] == result.outer_iterations
+        if backtracks:
+            assert calls["solve_equilibrium"] > result.outer_iterations
+        else:
+            assert calls["solve_equilibrium"] == result.outer_iterations
+
+    def test_halved_trials_are_feasible_and_certified(self, monkeypatch):
+        # collision rho=2 first rejects a trial after step 60, and 27 by
+        # step 80; a halved trial is the convex combination C + s*D, not a
+        # projection
+        game, obj = collision_kl()
+        rho = 2.0
+        trials = []
+        solve = qregames.bilevel.solve_equilibrium
+
+        def recording(g, *args, **kwargs):
+            trials.append(g.C)
+            return solve(g, *args, **kwargs)
+        monkeypatch.setattr(qregames.bilevel, "solve_equilibrium", recording)
+        result = run_projected_gradient(game, obj, rho, BilevelConfig(max_outer_iters=80))
+        assert len(trials) > result.outer_iterations  # some trials were halved
+        for C in trials:
+            assert check_assumption(game.with_matrix(C)).passed
+            assert in_feasible_set(C, game.dims, rho)
 
 
 class TestBilevelConfig:

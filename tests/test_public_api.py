@@ -102,8 +102,20 @@ def test_config_fields_are_pinned():
                                   smoothing_delta=2.0),
     lambda: qregames.potential_delay_objective(qregames.PlayerDims([2, 3])),
     lambda: qregames.simulate_gumbel_choice(np.zeros(2), 1.0, 0, seed=0),
+    # a real-valued argument of the wrong type, bool included
+    lambda: qregames.SolverConfig(residual_tol="1e-9"),
+    lambda: qregames.MinNormConfig(epsilon=None),
+    lambda: qregames.BilevelConfig(step_alpha=None),
+    lambda: qregames.BilevelConfig(step_alpha=True),
+    lambda: qregames.project_feasible(np.eye(2), qregames.PlayerDims([2]), "1"),
+    lambda: qregames.project_feasible(np.eye(2), qregames.PlayerDims([2]), True),
+    lambda: qregames.check_assumption(build_collision_game()[0], tol="0"),
+    lambda: qregames.kl_objective(np.array([1.0, 0.0]), qregames.PlayerDims([2]),
+                                  smoothing_delta="0.1"),
 ], ids=["solver-tol", "solver-iters", "min-norm-epsilon", "min-norm-sweeps", "bilevel-alpha",
-        "bilevel-iters", "rho", "smoothing-delta", "mixed-sizes", "samples"])
+        "bilevel-iters", "rho", "smoothing-delta", "mixed-sizes", "samples",
+        "solver-tol-str", "min-norm-epsilon-none", "bilevel-alpha-none", "bilevel-alpha-bool",
+        "rho-str", "rho-bool", "tol-str", "smoothing-delta-str"])
 def test_rejected_argument_is_invalid_input(call):
     with pytest.raises(qregames.InvalidInput) as info:
         call()

@@ -443,6 +443,12 @@ class TestGumbelChoice:
         with pytest.raises(ValueError):
             simulate_gumbel_choice(np.array([0.0, 1.0]), 0.5, samples, seed=0)
 
+    @pytest.mark.parametrize("cost", [np.float64(1.0), np.zeros(0), np.zeros((2, 2))],
+                             ids=["0-d", "empty", "2-d"])
+    def test_cost_must_be_a_non_empty_vector(self, cost):
+        with pytest.raises(DimensionMismatch):
+            simulate_gumbel_choice(cost, 0.5, 10, seed=0)
+
     def test_whole_float_samples_run(self):
         a = simulate_gumbel_choice(np.array([0.0, 1.0]), 0.5, 1000.0, seed=3)
         b = simulate_gumbel_choice(np.array([0.0, 1.0]), 0.5, 1000, seed=3)
