@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Subcommands: solve, check, design-sdp, design-bilevel, simulate, experiment.
-`experiment` takes a scenario (collision-sdp, collision-bilevel, fair), and
-its flags follow the scenario name; each scenario accepts only the flags it
-reads.  `--target` and `--delta` apply to `design-bilevel --objective kl`
-only.  Exit codes: 0 success; 2 malformed input or an unsatisfiable request;
-3 solver non-convergence (the artifact is still written, flagged
-converged=false; `experiment` exits 3 when any row is unconverged or
-failed); 1 internal error.  Errors go to stderr with the prefix
+`experiment` takes a scenario (collision-sdp, collision-bilevel, fair) and
+runs that scenario's sweep from `qregames.experiments`; its flags follow the
+scenario name, and each scenario accepts only the flags it reads.  `--target`
+and `--delta` apply to `design-bilevel --objective kl` only.  Exit codes: 0
+success; 2 malformed input, an output path that cannot be written or an
+unsatisfiable request; 3 solver non-convergence (the artifact is still
+written, flagged converged=false; `experiment` exits 3 when any row is
+unconverged or failed); 1 internal error.  Errors go to stderr with the prefix
 ``error:<kind>:``.  All numeric output keeps full double precision, and
 identical invocations with the same seed produce byte-identical files.
 """
@@ -15,10 +16,7 @@ identical invocations with the same seed produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -37,7 +35,8 @@ from .errors import (
     NonPositiveLambda,
     QreGamesError,
 )
-from .game import ASSUMPTION_TOL, PureTarget, check_assumption, load_game, pure_to_strategy
+from .game import (ASSUMPTION_TOL, PureTarget, _read_json_object, check_assumption, load_game,
+                   pure_to_strategy)
 from .min_norm import MinNormConfig, solve_min_norm_design
 from .objectives import KL_SMOOTHING_DEFAULT, kl_objective, kl_to_pure, potential_delay_objective
 from .results import DesignResult
@@ -72,8 +71,13 @@ def _load_game_with_overrides(args):
 def _write_text(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except FileNotFoundError:  # a missing directory is reported as such
+        raise
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {out}: {exc}") from exc
 
 
 def _write_json(payload: dict, out: str | None) -> None:
@@ -214,37 +218,20 @@ def _cmd_simulate(args) -> int:
 # ----------------------------------------------------------- experiment ----
 
 
-def _run_rows(worker, values: list, jobs: int) -> list[dict]:
-    # Under fork the pool starts all its processes at the first submit, so
-    # never ask for more than there are rows or cores.
-    workers = min(jobs, len(values), os.cpu_count() or 1)
-    if workers <= 1:
-        return [worker(v) for v in values]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, values))
-
-
 def _fair_adjacency(args):
     if args.adjacency_json is not None:
-        try:
-            data = json.loads(Path(args.adjacency_json).read_text())
-        except (OSError, json.JSONDecodeError, RecursionError) as exc:
-            raise InvalidInput(f"cannot read adjacency JSON: {exc}") from exc
-        if not isinstance(data, dict) or not all(isinstance(v, list) for v in data.values()):
+        data = _read_json_object(args.adjacency_json, "adjacency JSON")
+        if not all(isinstance(v, list) for v in data.values()):
             raise InvalidInput("adjacency JSON must map area names to lists of area names")
         return {str(k): tuple(v) for k, v in data.items()}
     return experiments.GRID4_ADJACENCY if args.adjacency == "grid4" else experiments.NO_ADJACENCY
 
 
 def _cmd_experiment(args) -> int:
-    if args.jobs < 1:
-        raise InvalidInput(f"--jobs must be >= 1, got {args.jobs}")
     if args.scenario == "collision-sdp":
-        configs = [
-            _min_norm_config(args, eps) for eps in _parse_floats(args.eps_grid, "--eps-grid")
-        ]
-        rows = _run_rows(experiments.sdp_row, configs, args.jobs)
-        key = "epsilon"
+        eps_grid = _parse_floats(args.eps_grid, "--eps-grid")
+        cfg = _min_norm_config(args, MinNormConfig.epsilon)  # the sweep sets epsilon per row
+        rows = experiments.sweep_sdp_epsilon(eps_grid, cfg, jobs=args.jobs)
     else:
         if args.scenario == "collision-bilevel":
             game, target = experiments.build_collision_game()
@@ -257,17 +244,13 @@ def _cmd_experiment(args) -> int:
         rho_grid = _parse_floats(args.rho_grid, "--rho-grid")
         for rho in rho_grid:
             _check_positive(rho, "--rho-grid")
-        cfg = _bilevel_config(args)
-        design_row = functools.partial(experiments.bilevel_row, obj=obj, g=game, cfg=cfg,
-                                       target=target_x)
-        rows = _run_rows(design_row, rho_grid, args.jobs)
-        key = "rho"
-    rows.sort(key=lambda r: r[key])
+        rows = experiments.sweep_bilevel_rho(rho_grid, obj, game, _bilevel_config(args),
+                                             target_x, jobs=args.jobs)
     for row in rows:
         row["seed"] = args.seed
     _write_text(experiments.rows_to_csv(rows), args.out)
     if args.plot:
-        Path(args.plot).write_text(_sweep_plot(args.scenario, rows))
+        _write_text(_sweep_plot(args.scenario, rows), args.plot)
     return 0 if all(r.get("converged", False) for r in rows) else 3
 
 

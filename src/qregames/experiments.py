@@ -9,21 +9,25 @@ Fair allocation: three delivery companies spread service over nine city
 areas; operating cost is 1.0 in the home area, 1.5 in areas adjacent to
 home, 1.8 elsewhere, and the design goal is equal aggregate service.
 
-`sdp_row` and `bilevel_row` turn one design into one CSV row; the sweeps and
-the CLI's `experiment` command (which may run them in worker processes) share them.
+`sdp_row` and `bilevel_row` turn one design into one CSV row.  The sweeps
+run one row per grid value, in worker processes when `jobs` allows, and sort
+the rows by that value; the CLI's `experiment` command runs these sweeps.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import os
 from dataclasses import replace
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .bilevel import BilevelConfig, run_projected_gradient
-from .errors import InvalidGeometry, QreGamesError
-from .game import Game, PlayerDims, PureTarget, pure_to_strategy
+from .errors import InvalidGeometry, InvalidInput, QreGamesError
+from .game import Game, PlayerDims, PureTarget, _whole, pure_to_strategy
 from .min_norm import MinNormConfig, solve_min_norm_design
 from .objectives import PerformanceObjective, kl_to_pure
 
@@ -168,15 +172,37 @@ def bilevel_row(rho: float, obj: PerformanceObjective, g: Game, cfg: BilevelConf
     return row
 
 
+def _sweep(row, values: list, jobs: int, key: str) -> list[dict]:
+    """row(v) for each value, in up to `jobs` worker processes, sorted by `key`."""
+    jobs = _whole(jobs, "jobs")
+    if jobs < 1:
+        raise InvalidInput(f"jobs must be >= 1, got {jobs}")
+    # Under fork the pool starts all its processes at the first submit, so
+    # never ask for more than there are rows or cores.
+    workers = min(jobs, len(values), os.cpu_count() or 1)
+    if workers <= 1:
+        rows = [row(v) for v in values]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(row, values))
+    rows.sort(key=lambda r: r[key])
+    return rows
+
+
 def sweep_sdp_epsilon(
     eps_values: Iterable[float] = DEFAULT_EPS_GRID,
     cfg: MinNormConfig | None = None,
+    jobs: int = 1,
 ) -> list[dict]:
-    """`sdp_row` per margin value, with the other fields from cfg, by epsilon."""
+    """`sdp_row` per margin value, with the other fields from cfg, by epsilon.
+
+    `jobs` > 1 runs the rows in worker processes, at most one per row and
+    one per core; the rows are the same as in-process.
+    """
     base = cfg or MinNormConfig()
-    rows = [sdp_row(replace(base, epsilon=float(eps))) for eps in eps_values]
-    rows.sort(key=lambda r: r["epsilon"])
-    return rows
+    # every margin is checked, by its config, before any row runs
+    configs = [replace(base, epsilon=float(eps)) for eps in eps_values]
+    return _sweep(sdp_row, configs, jobs, "epsilon")
 
 
 def sweep_bilevel_rho(
@@ -185,11 +211,15 @@ def sweep_bilevel_rho(
     g: Game,
     cfg: BilevelConfig | None = None,
     target: np.ndarray | None = None,
+    jobs: int = 1,
 ) -> list[dict]:
-    """`bilevel_row` per feasible-set radius, by rho."""
-    rows = [bilevel_row(rho, obj, g, cfg, target) for rho in rho_values]
-    rows.sort(key=lambda r: r["rho"])
-    return rows
+    """`bilevel_row` per feasible-set radius, by rho; `jobs` as in `sweep_sdp_epsilon`.
+
+    With `jobs` > 1, obj, g, cfg and target are pickled into the workers;
+    the built-in objectives pickle.
+    """
+    row = partial(bilevel_row, obj=obj, g=g, cfg=cfg, target=target)
+    return _sweep(row, list(rho_values), jobs, "rho")
 
 
 def rows_to_csv(rows: Sequence[dict]) -> str:

@@ -47,11 +47,12 @@ def _whole(v, what: str) -> int:
     raise InvalidInput(f"{what} must be a whole number, got {v!r}")
 
 
-def _real(v, what: str):
-    """v itself if it is a real number (True and "1" are not), else InvalidInput."""
-    # float first: with_matrix runs this per design trial, and the ABC test is over 10x slower
+def _real(v, what: str) -> float:
+    """v as a Python float (a double, even for a float32) if it is a real number
+    (True and "1" are not), else InvalidInput."""
+    # float first: project_feasible runs this every outer step, and the ABC test is 10x slower
     if isinstance(v, float) or (isinstance(v, numbers.Real) and not isinstance(v, bool)):
-        return v
+        return float(v)
     raise InvalidInput(f"{what} must be a real number, got {v!r}")
 
 
@@ -305,10 +306,6 @@ def check_strategy(x: np.ndarray, dims: PlayerDims) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _reject_constant(token: str):
-    raise InvalidInput(f"non-finite number {token!r} in game JSON")
-
-
 def game_to_dict(g: Game) -> dict:
     return {
         "lambda": g.lam,
@@ -341,21 +338,31 @@ def game_from_dict(d: dict) -> Game:
         raise InvalidInput(f"malformed game JSON: {exc}") from exc
 
 
-def load_game(path: str | Path) -> Game:
+def _read_json_object(path: str | Path, kind: str) -> dict:
+    """The JSON object in the file at path.  A missing file raises FileNotFoundError;
+    any other fault raises InvalidInput, whose message names the file as `kind`."""
+
+    def reject_constant(token: str):
+        raise InvalidInput(f"non-finite number {token!r} in {kind}")
+
     try:
         with open(path) as fh:
-            data = json.load(fh, parse_constant=_reject_constant)
-    # a missing file is reported as such, and _reject_constant's error names its token
+            data = json.load(fh, parse_constant=reject_constant)
+    # a missing file is reported as such, and reject_constant's error names its token
     except (FileNotFoundError, InvalidInput):
         raise
     except OSError as exc:
-        raise InvalidInput(f"cannot read game JSON: {exc}") from exc
+        raise InvalidInput(f"cannot read {kind}: {exc}") from exc
     # json.JSONDecodeError, bytes that are not text, or arrays nested too deep to parse
     except (ValueError, RecursionError) as exc:
-        raise InvalidInput(f"malformed game JSON: {exc}") from exc
+        raise InvalidInput(f"malformed {kind}: {exc}") from exc
     if not isinstance(data, dict):
-        raise InvalidInput("game JSON must be an object")
-    return game_from_dict(data)
+        raise InvalidInput(f"{kind} must be an object")
+    return data
+
+
+def load_game(path: str | Path) -> Game:
+    return game_from_dict(_read_json_object(path, "game JSON"))
 
 
 def save_game(g: Game, path: str | Path) -> None:

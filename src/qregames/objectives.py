@@ -31,13 +31,12 @@ class PerformanceObjective:
 
 
 def smooth_target(target: np.ndarray, dims: PlayerDims, delta: float) -> np.ndarray:
-    """Blockwise mix of the target with the uniform strategy."""
+    """Blockwise mix of the target with the uniform strategy, in double
+    precision whatever delta's type."""
     t = np.array(target, dtype=float)
     _check_length(t, dims, "target")
-    for i in range(dims.n):
-        blk = dims.block(i)
-        t[blk] = (1.0 - delta) * t[blk] + delta / dims.sizes[i]
-    return t
+    delta = float(delta)
+    return (1.0 - delta) * t + delta / np.repeat(dims.sizes, dims.sizes)
 
 
 def _require_positive(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -69,9 +68,10 @@ def kl_objective(
     ln x - ln t + 1.  Smoothing keeps the value finite for pure targets.
     """
     check_strategy(target, dims)
-    if not 0 <= _real(smoothing_delta, "smoothing_delta") <= 1:
+    delta = _real(smoothing_delta, "smoothing_delta")
+    if not 0 <= delta <= 1:
         raise InvalidInput("smoothing_delta must lie in [0, 1]")
-    log_t = np.log(smooth_target(target, dims, smoothing_delta))
+    log_t = np.log(smooth_target(target, dims, delta))
     return PerformanceObjective(
         value=partial(_kl_value, log_t), gradient=partial(_kl_gradient, log_t), name="kl"
     )

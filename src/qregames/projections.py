@@ -66,7 +66,8 @@ def project_feasible(C: np.ndarray, dims: PlayerDims, rho: float) -> np.ndarray:
     The norm is the square root of the flat dot product, np.linalg.norm's own
     formula.
     """
-    if not 0 < _real(rho, "rho") < np.inf:
+    rho = _real(rho, "rho")  # a double, so the rescale is not rounded to a float32 rho
+    if not 0 < rho < np.inf:
         raise InvalidInput(f"rho must be finite and > 0, got {rho!r}")
     A = project_cone_sum(C, dims)
     flat = A.ravel()

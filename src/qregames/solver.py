@@ -265,7 +265,8 @@ def simulate_gumbel_choice(
     Draws Gumbel(0, lam) noise by inverse CDF, -lam*ln(-ln(U)), and picks
     argmax_k(-cost_k + noise_k) per sample; this max-stable form reproduces
     the logit response exactly in distribution.  Deterministic given seed.
-    cost must be a non-empty 1-D vector, else DimensionMismatch.
+    cost must be a non-empty 1-D vector, else DimensionMismatch; samples
+    and seed must be whole numbers, samples >= 1 and seed >= 0, else InvalidInput.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 1 or cost.size == 0:
@@ -276,6 +277,9 @@ def simulate_gumbel_choice(
     samples = _whole(samples, "samples")
     if samples < 1:
         raise InvalidInput(f"samples must be >= 1, got {samples}")
+    seed = _whole(seed, "seed")
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
     k = cost.shape[0]
     rng = np.random.default_rng(seed)
     counts = np.zeros(k, dtype=np.int64)

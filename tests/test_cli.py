@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qregames import cli
+from qregames import cli, experiments
 from qregames.cli import main
 from qregames.experiments import build_collision_game, build_fair_game
 from qregames.game import game_to_dict, save_game
@@ -156,6 +156,13 @@ class TestSimulateCommand:
         assert main(["simulate", "--cost", "1,2", "--lambda", "inf"]) == 2
         assert capsys.readouterr().err.startswith("error:InvalidInput:")
 
+    def test_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "sim.json"
+        argv = ["simulate", "--cost", "1,2", "--lambda", "0.5", "--seed", "-1", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:InvalidInput:")
+        assert not out.exists()
+
 
 class TestExperimentCommand:
     def test_fair_csv(self, tmp_path):
@@ -226,8 +233,8 @@ class TestExperimentCommand:
             def map(self, fn, values):
                 return map(fn, values)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
         out = tmp_path / "rows.csv"
         assert main(["experiment", "collision-sdp", "--eps-grid", "1,2", "--jobs", str(jobs),
                      "--out", str(out)]) == 0
@@ -382,15 +389,36 @@ class TestDeterminismAndErrors:
         ["SW", "S"],
         {"SW": 5},
         pytest.param('{"SW": ' + "[" * 100_000 + "]" * 100_000 + "}", id="deep-nesting"),
+        pytest.param(b"\xff\xfe{", id="not-utf8"),
+        pytest.param('{"SW": [NaN]}', id="nan-neighbour"),
     ])
     def test_malformed_adjacency_json(self, adjacency, tmp_path, capsys):
         path = tmp_path / "adjacency.json"
-        path.write_text(adjacency if isinstance(adjacency, str) else json.dumps(adjacency))
+        if isinstance(adjacency, bytes):
+            path.write_bytes(adjacency)
+        else:
+            path.write_text(adjacency if isinstance(adjacency, str) else json.dumps(adjacency))
         out = tmp_path / "rows.csv"
         argv = ["experiment", "fair", "--rho-grid", "1", "--adjacency-json", str(path)]
         assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:InvalidInput:")
         assert not out.exists()
+
+    def test_missing_adjacency_json(self, tmp_path, capsys):
+        argv = ["experiment", "fair", "--rho-grid", "1",
+                "--adjacency-json", str(tmp_path / "missing.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:FileNotFound:")
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--game", "GAME", "--out"],
+        ["experiment", "collision-sdp", "--eps-grid", "1", "--out"],
+        ["experiment", "collision-sdp", "--eps-grid", "1", "--plot"],
+    ], ids=["check-out", "experiment-out", "experiment-plot"])
+    def test_output_path_that_is_a_directory(self, argv, collision_path, tmp_path, capsys):
+        argv = [collision_path if a == "GAME" else a for a in argv] + [str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:InvalidInput:")
 
     def test_potential_delay_needs_equal_blocks(self, tmp_path, capsys):
         path = tmp_path / "unequal.json"

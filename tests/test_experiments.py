@@ -97,6 +97,13 @@ class TestSweeps:
         b = sweep_sdp_epsilon([1.0, 2.0])
         assert a == b
 
+    def test_worker_processes_give_the_serial_rows(self):
+        assert sweep_sdp_epsilon([1, 2, 3], jobs=2) == sweep_sdp_epsilon([1, 2, 3])
+        game = build_fair_game()
+        obj = potential_delay_objective(game.dims)
+        serial = sweep_bilevel_rho([0.01, 1.0], obj, game)
+        assert sweep_bilevel_rho([0.01, 1.0], obj, game, jobs=2) == serial
+
     def test_bilevel_sweep_rows_fair(self):
         game = build_fair_game()
         obj = potential_delay_objective(game.dims)

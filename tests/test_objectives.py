@@ -102,6 +102,25 @@ class TestKlObjective:
             assert np.array_equal(obj.gradient(x), np.log(x) - log_t + 1.0)
 
 
+class TestSmoothTarget:
+    def test_float32_delta_mixes_in_double_precision(self):
+        dims, target = PlayerDims([2, 2]), [1.0, 0.0, 1.0, 0.0]
+        delta = np.float32(1e-3)
+        a = smooth_target(target, dims, delta)
+        b = smooth_target(target, dims, float(delta))
+        assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+    def test_matches_blockwise_loop_bit_for_bit(self, rng):
+        dims = PlayerDims([1, 4, 2, 7])
+        for delta in (0.0, KL_SMOOTHING_DEFAULT, 0.3, float(rng.random()), 1.0):
+            target = random_interior_strategy(rng, dims)
+            loop = target.copy()
+            for i in range(dims.n):
+                blk = dims.block(i)
+                loop[blk] = (1.0 - delta) * loop[blk] + delta / dims.sizes[i]
+            assert smooth_target(target, dims, delta).tobytes() == loop.tobytes()
+
+
 class TestWrongLength:
     """A strategy or target whose length does not fit the game is refused."""
 

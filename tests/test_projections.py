@@ -177,6 +177,11 @@ class TestProjectFeasible:
         A = textbook_cone_sum(C, dims)
         assert np.array_equal(project_feasible(C, dims, float(np.linalg.norm(A))), A)
 
+    def test_float32_radius_scales_in_double_precision(self):
+        rho = np.float32(3.3)
+        P = project_feasible(10.0 * np.eye(4), PlayerDims([2, 2]), rho)
+        assert abs(np.linalg.norm(P) - float(rho)) <= np.spacing(float(rho))
+
     def test_rejects_bad_radius(self):
         for rho in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError):

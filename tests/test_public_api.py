@@ -11,7 +11,7 @@ import pytest
 
 import qregames
 from qregames import solve_equilibrium
-from qregames.experiments import build_collision_game
+from qregames.experiments import build_collision_game, sweep_sdp_epsilon
 
 PUBLIC_NAMES = [
     "AssumptionReport",
@@ -112,10 +112,20 @@ def test_config_fields_are_pinned():
     lambda: qregames.check_assumption(build_collision_game()[0], tol="0"),
     lambda: qregames.kl_objective(np.array([1.0, 0.0]), qregames.PlayerDims([2]),
                                   smoothing_delta="0.1"),
+    # a seed or a sweep's job count that is not a whole number in range
+    lambda: qregames.simulate_gumbel_choice(np.zeros(2), 1.0, 10, seed=-1),
+    lambda: qregames.simulate_gumbel_choice(np.zeros(2), 1.0, 10, seed=1.5),
+    lambda: qregames.simulate_gumbel_choice(np.zeros(2), 1.0, 10, seed=True),
+    lambda: sweep_sdp_epsilon([1.0], jobs=0),
+    lambda: sweep_sdp_epsilon([1.0], jobs=-3),
+    lambda: sweep_sdp_epsilon([1.0], jobs=1.5),
+    lambda: sweep_sdp_epsilon([1.0], jobs=True),
 ], ids=["solver-tol", "solver-iters", "min-norm-epsilon", "min-norm-sweeps", "bilevel-alpha",
         "bilevel-iters", "rho", "smoothing-delta", "mixed-sizes", "samples",
         "solver-tol-str", "min-norm-epsilon-none", "bilevel-alpha-none", "bilevel-alpha-bool",
-        "rho-str", "rho-bool", "tol-str", "smoothing-delta-str"])
+        "rho-str", "rho-bool", "tol-str", "smoothing-delta-str",
+        "seed-negative", "seed-fractional", "seed-bool",
+        "jobs-zero", "jobs-negative", "jobs-fractional", "jobs-bool"])
 def test_rejected_argument_is_invalid_input(call):
     with pytest.raises(qregames.InvalidInput) as info:
         call()
