@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DecompositionFailure, InnerSolveFailure, InvalidInput
+from .errors import DecompositionFailure, InnerSolveFailure
 from .game import Game, _check_finite, _check_length, _real, _whole
 from .objectives import PerformanceObjective
 from .projections import project_feasible
@@ -42,13 +42,10 @@ class BilevelConfig:
     inner: ClassVar[SolverConfig] = INNER_SOLVER_DEFAULT  # fixed, not a field: readable only
 
     def __post_init__(self):
-        max_outer_iters = _whole(self.max_outer_iters, "max_outer_iters")
+        max_outer_iters = _whole(self.max_outer_iters, "max_outer_iters", 1)
         object.__setattr__(self, "max_outer_iters", max_outer_iters)
-        for name in ("step_alpha", "stop_eps"):
-            if not 0 < _real(getattr(self, name), name) < np.inf:
-                raise InvalidInput(f"{name} must be finite and > 0")
-        if self.max_outer_iters < 1:
-            raise InvalidInput("max_outer_iters must be >= 1")
+        _real(self.step_alpha, "step_alpha")
+        _real(self.stop_eps, "stop_eps")
 
 
 def implicit_gradient(g: Game, x: np.ndarray, grad_psi_x: np.ndarray) -> np.ndarray:

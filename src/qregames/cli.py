@@ -35,8 +35,8 @@ from .errors import (
     NonPositiveLambda,
     QreGamesError,
 )
-from .game import (ASSUMPTION_TOL, PureTarget, _read_json_object, check_assumption, load_game,
-                   pure_to_strategy)
+from .game import (ASSUMPTION_TOL, PureTarget, _read_json_object, _real, check_assumption,
+                   load_game, pure_to_strategy)
 from .min_norm import MinNormConfig, solve_min_norm_design
 from .objectives import KL_SMOOTHING_DEFAULT, kl_objective, kl_to_pure, potential_delay_objective
 from .results import DesignResult
@@ -63,7 +63,7 @@ def _load_game_with_overrides(args):
     game = load_game(args.game)
     lam = getattr(args, "lam", None)
     if lam is not None:
-        _check_positive(lam, "--lambda")
+        _real(lam, "--lambda")
         game = type(game)(game.dims, lam, game.b, game.C)
     return game
 
@@ -92,11 +92,6 @@ def _parse_floats(text: str, flag: str) -> list[float]:
     if not values:
         raise InvalidInput(f"{flag} is empty")
     return values
-
-
-def _check_positive(value: float, flag: str) -> None:
-    if not 0 < value < np.inf:
-        raise InvalidInput(f"{flag} must be finite and > 0, got {value!r}")
 
 
 def _min_norm_config(args, epsilon: float) -> MinNormConfig:
@@ -197,7 +192,7 @@ def _cmd_design_bilevel(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cost = np.array(_parse_floats(args.cost, "--cost"))
-    _check_positive(args.lam, "--lambda")
+    _real(args.lam, "--lambda")
     freq = simulate_gumbel_choice(cost, args.lam, args.samples, args.seed)
     z = -cost / args.lam
     e = np.exp(z - z.max())
@@ -242,8 +237,6 @@ def _cmd_experiment(args) -> int:
             target_x = None
             obj = potential_delay_objective(game.dims)
         rho_grid = _parse_floats(args.rho_grid, "--rho-grid")
-        for rho in rho_grid:
-            _check_positive(rho, "--rho-grid")
         rows = experiments.sweep_bilevel_rho(rho_grid, obj, game, _bilevel_config(args),
                                              target_x, jobs=args.jobs)
     for row in rows:

@@ -9,9 +9,10 @@ Fair allocation: three delivery companies spread service over nine city
 areas; operating cost is 1.0 in the home area, 1.5 in areas adjacent to
 home, 1.8 elsewhere, and the design goal is equal aggregate service.
 
-`sdp_row` and `bilevel_row` turn one design into one CSV row.  The sweeps
-run one row per grid value, in worker processes when `jobs` allows, and sort
-the rows by that value; the CLI's `experiment` command runs these sweeps.
+`sdp_row` and `bilevel_row` turn one design into one CSV row, or into an
+`error` row when the design fails.  The sweeps check every grid value, then
+run one row per value, in worker processes when `jobs` allows, and sort the
+rows by that value; the CLI's `experiment` command runs these sweeps.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .bilevel import BilevelConfig, run_projected_gradient
-from .errors import InvalidGeometry, InvalidInput, QreGamesError
-from .game import Game, PlayerDims, PureTarget, _whole, pure_to_strategy
+from .errors import InvalidGeometry, QreGamesError
+from .game import Game, PlayerDims, PureTarget, _real, _whole, pure_to_strategy
 from .min_norm import MinNormConfig, solve_min_norm_design
 from .objectives import PerformanceObjective, kl_to_pure
 
@@ -149,11 +150,13 @@ def bilevel_row(rho: float, obj: PerformanceObjective, g: Game, cfg: BilevelConf
     aggregate service totals for the fairness objective.  The line search
     never lets the objective rise, so the returned iterate is the best and
     psi_min is psi_value; the column is kept so the CSV layout stays the
-    same.  A failed design gives rho and an `error` column.
+    same.  A radius that is not finite and > 0 raises InvalidInput; a
+    failed design gives rho and an `error` column.
     """
-    row: dict = {"rho": float(rho)}
+    rho = _real(rho, "rho")
+    row: dict = {"rho": rho}
     try:
-        result = run_projected_gradient(g, obj, float(rho), cfg)
+        result = run_projected_gradient(g, obj, rho, cfg)
     except QreGamesError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
@@ -174,9 +177,7 @@ def bilevel_row(rho: float, obj: PerformanceObjective, g: Game, cfg: BilevelConf
 
 def _sweep(row, values: list, jobs: int, key: str) -> list[dict]:
     """row(v) for each value, in up to `jobs` worker processes, sorted by `key`."""
-    jobs = _whole(jobs, "jobs")
-    if jobs < 1:
-        raise InvalidInput(f"jobs must be >= 1, got {jobs}")
+    jobs = _whole(jobs, "jobs", 1)
     # Under fork the pool starts all its processes at the first submit, so
     # never ask for more than there are rows or cores.
     workers = min(jobs, len(values), os.cpu_count() or 1)
@@ -201,7 +202,7 @@ def sweep_sdp_epsilon(
     """
     base = cfg or MinNormConfig()
     # every margin is checked, by its config, before any row runs
-    configs = [replace(base, epsilon=float(eps)) for eps in eps_values]
+    configs = [replace(base, epsilon=eps) for eps in eps_values]
     return _sweep(sdp_row, configs, jobs, "epsilon")
 
 
@@ -216,10 +217,10 @@ def sweep_bilevel_rho(
     """`bilevel_row` per feasible-set radius, by rho; `jobs` as in `sweep_sdp_epsilon`.
 
     With `jobs` > 1, obj, g, cfg and target are pickled into the workers;
-    the built-in objectives pickle.
+    the built-in objectives pickle.  Every radius is checked before any row runs.
     """
     row = partial(bilevel_row, obj=obj, g=g, cfg=cfg, target=target)
-    return _sweep(row, list(rho_values), jobs, "rho")
+    return _sweep(row, [_real(rho, "rho") for rho in rho_values], jobs, "rho")
 
 
 def rows_to_csv(rows: Sequence[dict]) -> str:

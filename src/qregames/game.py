@@ -5,6 +5,10 @@ A game has n players; player i mixes over m_i actions.  Strategies and the
 cost vector b live in R^m (m = sum of the m_i) and are read blockwise; the
 cost matrix C is m x m with blocks C_ij coupling player i's cost to player
 j's strategy.  Actions are numbered from 1 in all public interfaces.
+
+`_whole` and `_real` hold the library's one rule for a scalar argument's
+type and range, and its one message format; every module checks counts,
+indices, tolerances, radii and margins through them.
 """
 
 from __future__ import annotations
@@ -38,27 +42,36 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _whole(v, what: str) -> int:
-    """v as an int if it is a whole number (2.0 is, True and "2" are not), else InvalidInput."""
-    if isinstance(v, numbers.Real) and not isinstance(v, bool) and (
+def _whole(v, what: str, least: int | None = None) -> int:
+    """v as an int if it is a whole number (2.0 is, True and "2" are not) and at
+    least `least` when given, else InvalidInput."""
+    if not (isinstance(v, numbers.Real) and not isinstance(v, bool) and (
         isinstance(v, numbers.Integral) or float(v).is_integer()
-    ):
-        return int(v)
-    raise InvalidInput(f"{what} must be a whole number, got {v!r}")
+    )):
+        raise InvalidInput(f"{what} must be a whole number, got {v!r}")
+    v = int(v)
+    if least is not None and v < least:
+        raise InvalidInput(f"{what} must be >= {least}, got {v}")
+    return v
 
 
-def _real(v, what: str) -> float:
+def _real(v, what: str, *, strict: bool = True, high: float = math.inf,
+          error: type[Exception] = InvalidInput) -> float:
     """v as a Python float (a double, even for a float32) if it is a real number
-    (True and "1" are not), else InvalidInput."""
+    (True and "1" are not), else InvalidInput; and if it is finite, > 0 (>= 0
+    unless strict) and <= high, else `error`."""
     # float first: project_feasible runs this every outer step, and the ABC test is 10x slower
-    if isinstance(v, float) or (isinstance(v, numbers.Real) and not isinstance(v, bool)):
-        return float(v)
-    raise InvalidInput(f"{what} must be a real number, got {v!r}")
+    if not (isinstance(v, float) or (isinstance(v, numbers.Real) and not isinstance(v, bool))):
+        raise InvalidInput(f"{what} must be a real number, got {v!r}")
+    x = float(v)
+    if (0.0 < x if strict else 0.0 <= x) and x <= high and x < math.inf:
+        return x
+    bound = ("> 0" if strict else ">= 0") + (f" and <= {high:g}" if high < math.inf else "")
+    raise error(f"{what} must be finite and {bound}, got {x!r}")
 
 
 def _check_lambda(lam) -> None:
-    if not 0 < _real(lam, "lambda") < math.inf:
-        raise NonPositiveLambda(f"lambda must be finite and > 0, got {lam}")
+    _real(lam, "lambda", error=NonPositiveLambda)
 
 
 def _check_length(x: np.ndarray, dims: "PlayerDims", what: str = "strategy") -> None:
@@ -144,6 +157,7 @@ class PlayerDims:
 
     def flat_index(self, player: int, action: int) -> int:
         """Flat index of 1-based `action` of 0-based `player`."""
+        player, action = _whole(player, "player"), _whole(action, "action")
         if not 0 <= player < self.n:
             raise IndexOutOfRange(f"player {player} outside [0, {self.n})")
         if not 1 <= action <= self.sizes[player]:
@@ -161,7 +175,7 @@ def _frozen_array(a, shape, what: str) -> np.ndarray:
     return _read_only(arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Game:
     """One problem instance: dimensions, noise temperature, and cost data.
 
@@ -261,8 +275,7 @@ def check_assumption(g: Game, tol: float = ASSUMPTION_TOL) -> AssumptionReport:
     unique equilibrium; `lambda_ok` is therefore always True.  A NaN,
     infinite or negative tol raises InvalidInput.
     """
-    if not 0 <= _real(tol, "tol") < math.inf:
-        raise InvalidInput(f"tol must be finite and >= 0, got {tol!r}")
+    _real(tol, "tol", strict=False)
     min_eig, asym = _cone_defects(g.C, g.dims)
     return AssumptionReport(
         min_eig_sym=min_eig,

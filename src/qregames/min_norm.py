@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput
+from .errors import DimensionMismatch
 from .game import Game, PlayerDims, PureTarget, _real, _whole, pure_to_strategy
 from .objectives import kl_objective
 from .results import DesignResult
@@ -43,7 +43,7 @@ ARMIJO_SHRINK = 0.5
 BB_STEP_MAX = 1e10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarginConstraint:
     """One linear constraint <normal, C> <= beta (Frobenius inner product).
 
@@ -69,11 +69,9 @@ class MinNormConfig:
     max_sweeps: int = 50_000  # cap on dual iterations
 
     def __post_init__(self):
-        object.__setattr__(self, "max_sweeps", _whole(self.max_sweeps, "max_sweeps"))
-        if not 0 <= _real(self.epsilon, "epsilon") < math.inf:
-            raise InvalidInput("epsilon must be finite and >= 0")
-        if not 0 < _real(self.dykstra_tol, "dykstra_tol") < math.inf or self.max_sweeps < 1:
-            raise InvalidInput("dykstra_tol must be finite and > 0, and max_sweeps >= 1")
+        object.__setattr__(self, "max_sweeps", _whole(self.max_sweeps, "max_sweeps", 1))
+        _real(self.epsilon, "epsilon", strict=False)
+        _real(self.dykstra_tol, "dykstra_tol")
 
 
 def build_margin_constraints(
@@ -89,7 +87,7 @@ def build_margin_constraints(
     """
     dims = g.dims
     m = dims.total
-    cols, star, alt, beta = _margin_structure(g, t, epsilon)
+    cols, star, alt, beta = _margin_structure(g, t, _real(epsilon, "epsilon", strict=False))
     constraints = []
     for row_star, row_k, bound in zip(star, alt, beta):
         normal = np.zeros((m, m))

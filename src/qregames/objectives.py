@@ -15,7 +15,7 @@ from .errors import (
     NonPositiveStrategy,
     ZeroAreaTotal,
 )
-from .game import PlayerDims, _check_length, _real, check_strategy
+from .game import PlayerDims, _check_finite, _check_length, _real, check_strategy
 
 # Mixing weight toward the uniform strategy when a target has zero entries.
 # Without it, the divergence to a pure target is infinite.
@@ -68,9 +68,7 @@ def kl_objective(
     ln x - ln t + 1.  Smoothing keeps the value finite for pure targets.
     """
     check_strategy(target, dims)
-    delta = _real(smoothing_delta, "smoothing_delta")
-    if not 0 <= delta <= 1:
-        raise InvalidInput("smoothing_delta must lie in [0, 1]")
+    delta = _real(smoothing_delta, "smoothing_delta", strict=False, high=1.0)
     log_t = np.log(smooth_target(target, dims, delta))
     return PerformanceObjective(
         value=partial(_kl_value, log_t), gradient=partial(_kl_gradient, log_t), name="kl"
@@ -97,6 +95,7 @@ def kl_to_pure(x: np.ndarray, target: np.ndarray) -> float:
     support of ln x.  Finite for interior x even when the target has zeros,
     and it decreases monotonically as x concentrates on the target."""
     target = np.asarray(target, dtype=float)
+    _check_finite(target, "target")
     x = _require_positive(x, target.shape)
     support = target > 0
     return float(np.sum(target[support] * (np.log(target[support]) - np.log(x[support]))))

@@ -13,16 +13,17 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, EigendecompositionFailure, InvalidInput
-from .game import PlayerDims, _cone_defects, _real
+from .errors import DimensionMismatch, EigendecompositionFailure
+from .game import PlayerDims, _check_finite, _cone_defects, _real
 
 
 def _cost_matrix(C: np.ndarray, dims: PlayerDims) -> np.ndarray:
-    """C as a float array, after checking that it is m x m for the game."""
+    """C as a float array, after checking that it is m x m for the game and finite."""
     C = np.asarray(C, dtype=float)
     m = dims.total
     if C.shape != (m, m):
         raise DimensionMismatch(f"C has shape {C.shape}, expected ({m}, {m})")
+    _check_finite(C, "C")
     return C
 
 
@@ -67,8 +68,6 @@ def project_feasible(C: np.ndarray, dims: PlayerDims, rho: float) -> np.ndarray:
     formula.
     """
     rho = _real(rho, "rho")  # a double, so the rescale is not rounded to a float32 rho
-    if not 0 < rho < np.inf:
-        raise InvalidInput(f"rho must be finite and > 0, got {rho!r}")
     A = project_cone_sum(C, dims)
     flat = A.ravel()
     norm = math.sqrt(flat.dot(flat))
@@ -86,6 +85,9 @@ def in_feasible_set(
     block_tol: float = 1e-10,
 ) -> bool:
     """Membership test used by diagnostics and tests; eig_tol bounds (C + C^T)/2."""
+    rho = _real(rho, "rho")
+    for tol, name in ((eig_tol, "eig_tol"), (ball_tol, "ball_tol"), (block_tol, "block_tol")):
+        _real(tol, name, strict=False)
     C = _cost_matrix(C, dims)
     min_eig, asym = _cone_defects(C, dims)
     return bool(0.5 * min_eig >= -eig_tol and asym <= block_tol

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput, NonFiniteInput, NonPositiveStrategy
+from .errors import DimensionMismatch, NonFiniteInput, NonPositiveStrategy
 from .game import (
     Game,
     _check_finite,
@@ -42,17 +42,14 @@ class SolverConfig:
     max_iters: int = 200
 
     def __post_init__(self):
-        object.__setattr__(self, "max_iters", _whole(self.max_iters, "max_iters"))
-        if not 0 < _real(self.residual_tol, "residual_tol") < np.inf:
-            raise InvalidInput("residual_tol must be finite and > 0")
-        if self.max_iters < 1:
-            raise InvalidInput("max_iters must be >= 1")
+        object.__setattr__(self, "max_iters", _whole(self.max_iters, "max_iters", 1))
+        _real(self.residual_tol, "residual_tol")
 
 
 _DEFAULT_CONFIG = SolverConfig()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveOutcome:
     """The last iterate of a solve, its residual and whether it converged.
 
@@ -67,7 +64,7 @@ class SolveOutcome:
     residual_sq: float
     iterations: int
     converged: bool
-    _game: Game = field(repr=False, compare=False)
+    _game: Game = field(repr=False)
 
     @cached_property
     def certified(self) -> bool:
@@ -274,12 +271,8 @@ def simulate_gumbel_choice(
     _check_lambda(lam)
     if not np.all(np.isfinite(cost)):
         raise NonFiniteInput("cost vector is not finite")
-    samples = _whole(samples, "samples")
-    if samples < 1:
-        raise InvalidInput(f"samples must be >= 1, got {samples}")
-    seed = _whole(seed, "seed")
-    if seed < 0:
-        raise InvalidInput(f"seed must be >= 0, got {seed}")
+    samples = _whole(samples, "samples", 1)
+    seed = _whole(seed, "seed", 0)
     k = cost.shape[0]
     rng = np.random.default_rng(seed)
     counts = np.zeros(k, dtype=np.int64)

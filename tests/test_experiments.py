@@ -5,12 +5,14 @@ import pytest
 
 from qregames import (
     InvalidGeometry,
+    InvalidInput,
     PerformanceObjective,
     ZeroAreaTotal,
     check_assumption,
     solve_equilibrium,
     stationarity_residual,
 )
+from qregames import experiments
 from qregames.experiments import (
     AREA_NAMES,
     DEFAULT_RHO_GRID,
@@ -126,10 +128,14 @@ class TestSweeps:
         assert rows == [{"rho": 1.0, "error": "ZeroAreaTotal: no service"},
                         {"rho": 2.0, "error": "ZeroAreaTotal: no service"}]
 
-    def test_rejected_radius_gives_an_error_row(self):
+    def test_rejected_radius_raises_before_any_row(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "run_projected_gradient",
+                            lambda *args: calls.append(args))
         game = build_fair_game()
-        rows = sweep_bilevel_rho([0.0], potential_delay_objective(game.dims), game)
-        assert rows == [{"rho": 0.0, "error": "InvalidInput: rho must be finite and > 0, got 0.0"}]
+        with pytest.raises(InvalidInput, match=r"^rho must be finite and > 0, got 0\.0$"):
+            sweep_bilevel_rho([1.0, 0.0], potential_delay_objective(game.dims), game)
+        assert calls == []
 
     def test_bilevel_rows_satisfy_stationarity(self):
         game, target = build_collision_game()

@@ -170,6 +170,11 @@ class TestNonFiniteStrategy:
         with pytest.raises(NonFiniteInput):
             kl_to_pure(np.array(x), np.array([1.0, 0.0, 1.0, 0.0]))
 
+    @pytest.mark.parametrize("target", NON_FINITE_STRATEGIES)
+    def test_kl_to_pure_target(self, target):
+        with pytest.raises(NonFiniteInput):
+            kl_to_pure(np.full(4, 0.5), np.array(target))
+
 class TestKlToPure:
     def test_monotone_toward_target(self):
         target = np.array([0.0, 0.0, 1.0])

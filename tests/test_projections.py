@@ -3,6 +3,7 @@ import pytest
 
 from qregames import (
     DimensionMismatch,
+    NonFiniteInput,
     PlayerDims,
     in_feasible_set,
     project_cone_sum,
@@ -39,6 +40,19 @@ def textbook_cone_sum(C, dims):
                          ids=["3x3", "4x3", "1-D", "flat-16"])
 def test_matrix_that_does_not_fit_the_game_raises(project, C):
     with pytest.raises(DimensionMismatch):
+        project(C, PlayerDims([2, 2]))
+
+
+@pytest.mark.parametrize("project", [
+    project_cone_sum,
+    lambda C, dims: project_feasible(C, dims, 1.0),
+    lambda C, dims: in_feasible_set(C, dims, 1.0),
+], ids=["project_cone_sum", "project_feasible", "in_feasible_set"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_matrix_raises(project, bad):
+    C = np.eye(4)
+    C[1, 2] = bad
+    with pytest.raises(NonFiniteInput):
         project(C, PlayerDims([2, 2]))
 
 

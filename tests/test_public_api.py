@@ -4,6 +4,7 @@ each config, the fields of a solve and the errors the library raises."""
 import ast
 import builtins
 import dataclasses
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,20 @@ import pytest
 
 import qregames
 from qregames import solve_equilibrium
-from qregames.experiments import build_collision_game, sweep_sdp_epsilon
+from qregames.experiments import build_collision_game, sweep_bilevel_rho, sweep_sdp_epsilon
+
+
+def _sweep_rho(grid):
+    game, _ = build_collision_game()
+    return sweep_bilevel_rho(grid, qregames.potential_delay_objective(game.dims), game)
+
+
+def _margins(epsilon):
+    return qregames.build_margin_constraints(*build_collision_game(), epsilon)
+
+
+def _in_feasible_set(*args, **kwargs):
+    return qregames.in_feasible_set(np.eye(2), qregames.PlayerDims([2]), *args, **kwargs)
 
 PUBLIC_NAMES = [
     "AssumptionReport",
@@ -120,16 +134,57 @@ def test_config_fields_are_pinned():
     lambda: sweep_sdp_epsilon([1.0], jobs=-3),
     lambda: sweep_sdp_epsilon([1.0], jobs=1.5),
     lambda: sweep_sdp_epsilon([1.0], jobs=True),
+    # a radius, tolerance, margin, grid value or index of the wrong type or out of range
+    lambda: _in_feasible_set("a"),
+    lambda: _in_feasible_set(-1),
+    lambda: _in_feasible_set(True),
+    lambda: _in_feasible_set(1.0, eig_tol=np.nan),
+    lambda: _margins("a"),
+    lambda: _margins(np.nan),
+    lambda: _margins(True),
+    lambda: _margins(-5),
+    lambda: sweep_sdp_epsilon(["a"]),
+    lambda: sweep_sdp_epsilon([True]),
+    lambda: _sweep_rho(["a"]),
+    lambda: _sweep_rho([True]),
+    lambda: qregames.PlayerDims([2]).flat_index(0, 1.5),
+    lambda: qregames.PlayerDims([2]).flat_index(0, True),
+    lambda: qregames.PlayerDims([2]).flat_index(0.5, 1),
 ], ids=["solver-tol", "solver-iters", "min-norm-epsilon", "min-norm-sweeps", "bilevel-alpha",
         "bilevel-iters", "rho", "smoothing-delta", "mixed-sizes", "samples",
         "solver-tol-str", "min-norm-epsilon-none", "bilevel-alpha-none", "bilevel-alpha-bool",
         "rho-str", "rho-bool", "tol-str", "smoothing-delta-str",
         "seed-negative", "seed-fractional", "seed-bool",
-        "jobs-zero", "jobs-negative", "jobs-fractional", "jobs-bool"])
+        "jobs-zero", "jobs-negative", "jobs-fractional", "jobs-bool",
+        "feasible-rho-str", "feasible-rho-negative", "feasible-rho-bool", "feasible-eig-tol-nan",
+        "margin-str", "margin-nan", "margin-bool", "margin-negative",
+        "eps-grid-str", "eps-grid-bool", "rho-grid-str", "rho-grid-bool",
+        "action-fractional", "action-bool", "player-fractional"])
 def test_rejected_argument_is_invalid_input(call):
     with pytest.raises(qregames.InvalidInput) as info:
         call()
     assert isinstance(info.value, ValueError)  # callers that catch the builtin still do
+
+
+def test_rejected_field_is_the_only_one_named():
+    with pytest.raises(qregames.InvalidInput) as info:
+        qregames.MinNormConfig(max_sweeps=0)
+    assert str(info.value) == "max_sweeps must be >= 1, got 0"
+
+
+def _array_holders():
+    game, target = build_collision_game()
+    return [game, solve_equilibrium(game), qregames.solve_min_norm_design(game, target),
+            qregames.build_margin_constraints(game, target, 1.0)[0]]
+
+
+@pytest.mark.parametrize("index", range(4),
+                         ids=["Game", "SolveOutcome", "DesignResult", "MarginConstraint"])
+def test_array_holders_compare_and_hash_by_identity(index):
+    a = _array_holders()[index]
+    assert a == a
+    assert (a == pickle.loads(pickle.dumps(a))) is False
+    assert hash(a) == hash(a)
 
 
 def test_library_raises_only_its_own_errors():
@@ -146,4 +201,24 @@ def test_library_raises_only_its_own_errors():
             target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if isinstance(target, ast.Name) and target.id in builtin_errors:
                 offenders.append(f"{path.name}:{node.lineno}: raise {target.id}")
+    assert offenders == []
+
+
+def test_range_rules_live_in_the_game_helpers():
+    """No `raise InvalidInput(...)` outside game.py whose message says "must
+    be" or "must lie": a range rule goes through `game._whole` or
+    `game._real`, which own the one message format."""
+    offenders = []
+    for path in sorted(Path(qregames.__file__).parent.glob("*.py")):
+        if path.name == "game.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name)
+                    and node.exc.func.id == "InvalidInput"):
+                continue
+            text = "".join(c.value for arg in node.exc.args for c in ast.walk(arg)
+                           if isinstance(c, ast.Constant) and isinstance(c.value, str))
+            if "must be" in text or "must lie" in text:
+                offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
