@@ -17,7 +17,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DecompositionFailure, InnerSolveFailure
-from .game import Game, _check_finite, _check_length, _real, _whole
+from .game import Game, _array, _real, _whole
 from .objectives import PerformanceObjective
 from .projections import project_feasible
 from .results import DesignResult
@@ -66,14 +66,9 @@ def implicit_gradient(g: Game, x: np.ndarray, grad_psi_x: np.ndarray) -> np.ndar
     a singular one, possible only for an uncertified game, raises
     DecompositionFailure.  x and the gradient must be finite (NonFiniteInput).
     """
-    x = np.asarray(x, dtype=float)
-    grad_psi_x = np.asarray(grad_psi_x, dtype=float)
-    dims = g.dims
-    _check_length(x, dims)
-    _check_length(grad_psi_x, dims, "performance gradient")
-    _check_finite(x)
-    _check_finite(grad_psi_x, "performance gradient")
-    return _implicit_gradient(g, x, grad_psi_x)
+    m = g.dims.total
+    return _implicit_gradient(g, _array(x, (m,), "strategy"),
+                              _array(grad_psi_x, (m,), "performance gradient"))
 
 
 def _implicit_gradient(g: Game, x: np.ndarray, grad_psi_x: np.ndarray) -> np.ndarray:

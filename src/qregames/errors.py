@@ -18,7 +18,7 @@ class IndexOutOfRange(QreGamesError):
 
 
 class NonFiniteInput(QreGamesError):
-    """A cost vector or matrix contains NaN or infinity."""
+    """A vector or matrix argument contains NaN or infinity."""
 
 
 class NonPositiveStrategy(QreGamesError):

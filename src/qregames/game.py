@@ -8,7 +8,10 @@ j's strategy.  Actions are numbered from 1 in all public interfaces.
 
 `_whole` and `_real` hold the library's one rule for a scalar argument's
 type and range, and its one message format; every module checks counts,
-indices, tolerances, radii and margins through them.
+indices, tolerances, radii and margins through them.  `_array` holds the
+one rule for a vector or matrix argument (its shape, then finite entries),
+and `_positive` the one strict-positivity rule for a strategy; every module
+reads its array arguments through them.
 """
 
 from __future__ import annotations
@@ -74,14 +77,26 @@ def _check_lambda(lam) -> None:
     _real(lam, "lambda", error=NonPositiveLambda)
 
 
-def _check_length(x: np.ndarray, dims: "PlayerDims", what: str = "strategy") -> None:
-    if x.shape != (dims.total,):
-        raise DimensionMismatch(f"{what} has shape {x.shape}, expected ({dims.total},)")
-
-
-def _check_finite(x: np.ndarray, what: str = "strategy") -> None:
-    if not np.isfinite(x).all():
+def _array(v, shape: tuple[int, ...] | None, what: str, *, finite: bool = True) -> np.ndarray:
+    """v as a float array (v itself if it is one) if it has `shape` (any shape when
+    None), else DimensionMismatch; and if its entries are finite, else NonFiniteInput.
+    finite=False leaves the entries to the caller's `_positive` test, which checks
+    finiteness in the same min/max pass as positivity."""
+    arr = np.asarray(v, dtype=float)
+    if shape is not None and arr.shape != shape:
+        raise DimensionMismatch(f"{what} has shape {arr.shape}, expected {shape}")
+    if finite and not np.isfinite(arr).all():
         raise NonFiniteInput(f"{what} has NaN or infinite entries")
+    return arr
+
+
+def _positive(v: np.ndarray, what: str, error: type[Exception], message: str) -> None:
+    """Raise NonFiniteInput, as `_array` does, on a NaN or infinite entry of the float
+    array v, else error(message) on an entry <= 0.  An empty v passes.  A NaN
+    minimum fails the first test, so a passing v costs one min and one max pass."""
+    if not (0.0 < v.min(initial=np.inf) and v.max(initial=-np.inf) < np.inf):
+        _array(v, None, what)
+        raise error(message)
 
 
 @dataclass(frozen=True)
@@ -168,11 +183,7 @@ class PlayerDims:
 
 
 def _frozen_array(a, shape, what: str) -> np.ndarray:
-    arr = np.array(a, dtype=float)
-    if arr.shape != shape:
-        raise DimensionMismatch(f"{what} has shape {arr.shape}, expected {shape}")
-    _check_finite(arr, what)
-    return _read_only(arr)
+    return _read_only(_array(np.array(a, dtype=float), shape, what))
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,9 +313,7 @@ def uniform_strategy(dims: PlayerDims) -> np.ndarray:
 
 def check_strategy(x: np.ndarray, dims: PlayerDims) -> None:
     """Raise unless every block of x is a probability vector."""
-    x = np.asarray(x, dtype=float)
-    _check_length(x, dims)
-    _check_finite(x)
+    x = _array(x, (dims.total,), "strategy")
     if not np.all(x >= 0):
         raise DimensionMismatch("strategy has negative entries")
     sums = np.add.reduceat(x, dims.starts)

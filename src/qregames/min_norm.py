@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .game import Game, PlayerDims, PureTarget, _real, _whole, pure_to_strategy
+from .game import Game, PlayerDims, PureTarget, _array, _real, _whole, pure_to_strategy
 from .objectives import kl_objective
 from .results import DesignResult
 from .solver import solve_equilibrium
@@ -104,10 +103,7 @@ def build_margin_constraints(
 def max_margin_violation(C: np.ndarray, constraints: list[MarginConstraint]) -> float:
     if not constraints:
         return 0.0
-    C = np.asarray(C, dtype=float)
-    shape = constraints[0].normal.shape
-    if C.shape != shape:
-        raise DimensionMismatch(f"C has shape {C.shape}, expected {shape}")
+    C = _array(C, constraints[0].normal.shape, "C")
     return max(max(c.violation(C) for c in constraints), 0.0)
 
 

@@ -8,14 +8,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidInput,
-    NonFiniteInput,
-    NonPositiveStrategy,
-    ZeroAreaTotal,
-)
-from .game import PlayerDims, _check_finite, _check_length, _real, check_strategy
+from .errors import InvalidInput, NonPositiveStrategy, ZeroAreaTotal
+from .game import PlayerDims, _array, _positive, _real, check_strategy
 
 # Mixing weight toward the uniform strategy when a target has zero entries.
 # Without it, the divergence to a pure target is infinite.
@@ -32,28 +26,18 @@ class PerformanceObjective:
 
 def smooth_target(target: np.ndarray, dims: PlayerDims, delta: float) -> np.ndarray:
     """Blockwise mix of the target with the uniform strategy, in double
-    precision whatever delta's type."""
-    t = np.array(target, dtype=float)
-    _check_length(t, dims, "target")
-    delta = float(delta)
+    precision whatever delta's type.  delta must be a real number in [0, 1]
+    (InvalidInput), and the target a finite vector that fits dims."""
+    t = _array(target, (dims.total,), "target")
+    delta = _real(delta, "smoothing_delta", strict=False, high=1.0)
     return (1.0 - delta) * t + delta / np.repeat(dims.sizes, dims.sizes)
 
 
 def _require_positive(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != shape:
-        raise DimensionMismatch(f"strategy has shape {x.shape}, expected {shape}")
-    _require_finite_positive(x, NonPositiveStrategy,
-                             "objective evaluated at a strategy with nonpositive entries")
+    x = _array(x, shape, "strategy", finite=False)
+    _positive(x, "strategy", NonPositiveStrategy,
+              "objective evaluated at a strategy with nonpositive entries")
     return x
-
-
-def _require_finite_positive(v: np.ndarray, error: type[Exception], message: str) -> None:
-    """Raise NonFiniteInput on a NaN or infinite entry of v, else `error` on one <= 0."""
-    if not (0.0 < v.min() and v.max() < np.inf):  # a NaN minimum fails the first test
-        if not np.isfinite(v).all():
-            raise NonFiniteInput("objective evaluated at a strategy with NaN or infinite entries")
-        raise error(message)
 
 
 def kl_objective(
@@ -68,8 +52,7 @@ def kl_objective(
     ln x - ln t + 1.  Smoothing keeps the value finite for pure targets.
     """
     check_strategy(target, dims)
-    delta = _real(smoothing_delta, "smoothing_delta", strict=False, high=1.0)
-    log_t = np.log(smooth_target(target, dims, delta))
+    log_t = np.log(smooth_target(target, dims, smoothing_delta))
     return PerformanceObjective(
         value=partial(_kl_value, log_t), gradient=partial(_kl_gradient, log_t), name="kl"
     )
@@ -94,8 +77,7 @@ def kl_to_pure(x: np.ndarray, target: np.ndarray) -> float:
     """Divergence of a pure/interior target from x: -sum over the target's
     support of ln x.  Finite for interior x even when the target has zeros,
     and it decreases monotonically as x concentrates on the target."""
-    target = np.asarray(target, dtype=float)
-    _check_finite(target, "target")
+    target = _array(target, None, "target")
     x = _require_positive(x, target.shape)
     support = target > 0
     return float(np.sum(target[support] * (np.log(target[support]) - np.log(x[support]))))
@@ -117,12 +99,10 @@ def potential_delay_objective(dims: PlayerDims) -> PerformanceObjective:
 
 
 def _area_totals(n: int, k: int, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n * k,):
-        raise DimensionMismatch(f"strategy has shape {x.shape}, expected ({n * k},)")
+    x = _array(x, (n * k,), "strategy", finite=False)
     t = x.reshape(n, k).sum(axis=0)
     # a NaN or infinite entry of x makes its area's total NaN or infinite
-    _require_finite_positive(t, ZeroAreaTotal, "an area receives zero aggregate service")
+    _positive(t, "strategy", ZeroAreaTotal, "an area receives zero aggregate service")
     return t
 
 

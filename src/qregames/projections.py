@@ -13,18 +13,8 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, EigendecompositionFailure
-from .game import PlayerDims, _check_finite, _cone_defects, _real
-
-
-def _cost_matrix(C: np.ndarray, dims: PlayerDims) -> np.ndarray:
-    """C as a float array, after checking that it is m x m for the game and finite."""
-    C = np.asarray(C, dtype=float)
-    m = dims.total
-    if C.shape != (m, m):
-        raise DimensionMismatch(f"C has shape {C.shape}, expected ({m}, {m})")
-    _check_finite(C, "C")
-    return C
+from .errors import EigendecompositionFailure
+from .game import PlayerDims, _array, _cone_defects, _real
 
 
 def project_psd(S: np.ndarray) -> np.ndarray:
@@ -47,7 +37,7 @@ def project_cone_sum(C: np.ndarray, dims: PlayerDims) -> np.ndarray:
     it off the diagonal blocks and zeroes it on them, and is added into the
     new PSD matrix, which is returned.
     """
-    C = _cost_matrix(C, dims)
+    C = _array(C, (dims.total, dims.total), "C")
     sym = C + C.T
     sym *= 0.5
     skew = C - C.T
@@ -88,7 +78,7 @@ def in_feasible_set(
     rho = _real(rho, "rho")
     for tol, name in ((eig_tol, "eig_tol"), (ball_tol, "ball_tol"), (block_tol, "block_tol")):
         _real(tol, name, strict=False)
-    C = _cost_matrix(C, dims)
+    C = _array(C, (dims.total, dims.total), "C")
     min_eig, asym = _cone_defects(C, dims)
     return bool(0.5 * min_eig >= -eig_tol and asym <= block_tol
                 and np.linalg.norm(C) <= rho + ball_tol)

@@ -17,9 +17,9 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteInput, NonPositiveStrategy
 from .game import (
     Game,
-    _check_finite,
+    _array,
     _check_lambda,
-    _check_length,
+    _positive,
     _real,
     _whole,
     check_assumption,
@@ -99,9 +99,7 @@ def logit_response(g: Game, x: np.ndarray) -> np.ndarray:
     NonFiniteInput if x, or the cost argument, contains NaN or infinity;
     x is checked before the product C x.
     """
-    x = np.asarray(x, dtype=float)
-    _check_length(x, g.dims)
-    _check_finite(x)
+    x = _array(x, (g.dims.total,), "strategy")
     return _response_to_cost(g, perceived_cost(g, x))
 
 
@@ -187,9 +185,7 @@ def solve_equilibrium(
     if x0 is None:
         x = uniform_strategy(dims)
     else:
-        x = np.asarray(x0, dtype=float)
-        _check_length(x, dims, "x0")
-        _check_finite(x, "x0")
+        x = _array(x0, (dims.total,), "x0")
 
     def at(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         p = blockwise_softmax(y / -g.lam, dims)
@@ -241,11 +237,9 @@ def stationarity_residual(g: Game, x: np.ndarray) -> float:
     all players.  Requires x finite (else NonFiniteInput) and strictly
     positive (else NonPositiveStrategy).
     """
-    x = np.asarray(x, dtype=float)
-    _check_length(x, g.dims)
-    _check_finite(x)
-    if (x <= 0).any():
-        raise NonPositiveStrategy("stationarity diagnostic needs strictly positive entries")
+    x = _array(x, (g.dims.total,), "strategy", finite=False)
+    _positive(x, "strategy", NonPositiveStrategy,
+              "stationarity diagnostic needs strictly positive entries")
     v = perceived_cost(g, x) + g.lam * np.log(x)
     starts = g.dims.starts
     return float(np.max(np.maximum.reduceat(v, starts) - np.minimum.reduceat(v, starts)))
@@ -262,15 +256,15 @@ def simulate_gumbel_choice(
     Draws Gumbel(0, lam) noise by inverse CDF, -lam*ln(-ln(U)), and picks
     argmax_k(-cost_k + noise_k) per sample; this max-stable form reproduces
     the logit response exactly in distribution.  Deterministic given seed.
-    cost must be a non-empty 1-D vector, else DimensionMismatch; samples
+    cost must be a non-empty 1-D vector, else DimensionMismatch, with finite
+    entries, else NonFiniteInput; samples
     and seed must be whole numbers, samples >= 1 and seed >= 0, else InvalidInput.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 1 or cost.size == 0:
         raise DimensionMismatch(f"cost must be a non-empty vector, got shape {cost.shape}")
     _check_lambda(lam)
-    if not np.all(np.isfinite(cost)):
-        raise NonFiniteInput("cost vector is not finite")
+    _array(cost, None, "cost")
     samples = _whole(samples, "samples", 1)
     seed = _whole(seed, "seed", 0)
     k = cost.shape[0]

@@ -9,6 +9,8 @@ from qregames import (
     PerformanceObjective,
     ZeroAreaTotal,
     check_assumption,
+    kl_objective,
+    pure_to_strategy,
     solve_equilibrium,
     stationarity_residual,
 )
@@ -169,6 +171,46 @@ class TestSweeps:
         obj = kl_objective(pure_to_strategy(target, game.dims), game.dims)
         result = run_projected_gradient(game, obj, rho=1.0)
         assert stationarity_residual(game.with_matrix(result.C), result.x) <= 1e-6
+
+
+# psi_value of each default `experiment collision-bilevel` and `fair` row when
+# this ratchet was set, by rho.  One-sided: a row may improve on its value.
+PINNED_PSI = {
+    "collision-bilevel": {
+        0.01: 32.0238495312203, 0.1: 32.02096417550693, 0.5: 27.90792352680625,
+        1.0: 22.156805977913397, 2.0: 4.097521769904222, 4.0: 9.028146757005486e-10,
+        7.0: 9.028146757005486e-10, 10.0: 9.028146757005486e-10,
+    },
+    "fair": {
+        0.01: 5379.530971699104, 0.1: 2087.5341599775775, 0.5: 88.16309865608032,
+        1.0: 34.282980335809405, 2.0: 27.000000000031875, 4.0: 27.000000000000746,
+        7.0: 27.00000000000049, 10.0: 27.000000000000178,
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def default_bilevel_rows():
+    game, target = build_collision_game()
+    target_x = pure_to_strategy(target, game.dims)
+    collision = sweep_bilevel_rho(DEFAULT_RHO_GRID, kl_objective(target_x, game.dims), game,
+                                  target=target_x)
+    fair_game = build_fair_game()
+    fair = sweep_bilevel_rho(DEFAULT_RHO_GRID, potential_delay_objective(fair_game.dims),
+                             fair_game)
+    return {"collision-bilevel": collision, "fair": fair}
+
+
+@pytest.mark.parametrize("scenario", sorted(PINNED_PSI))
+def test_bilevel_rows_never_lose_ground(default_bilevel_rows, scenario):
+    """Each default row stays converged, with psi at most its pinned value
+    plus 1e-9 max(1, |psi|)."""
+    rows = default_bilevel_rows[scenario]
+    assert [r["rho"] for r in rows] == list(PINNED_PSI[scenario])
+    for row in rows:
+        pinned = PINNED_PSI[scenario][row["rho"]]
+        assert row["converged"] is True, row
+        assert row["psi_value"] <= pinned + 1e-9 * max(1.0, abs(pinned)), row
 
 
 class TestCsv:

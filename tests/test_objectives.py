@@ -5,6 +5,7 @@ import pytest
 
 from qregames import (
     DimensionMismatch,
+    InvalidInput,
     NonFiniteInput,
     NonPositiveStrategy,
     PlayerDims,
@@ -120,6 +121,17 @@ class TestSmoothTarget:
                 loop[blk] = (1.0 - delta) * loop[blk] + delta / dims.sizes[i]
             assert smooth_target(target, dims, delta).tobytes() == loop.tobytes()
 
+    @pytest.mark.parametrize("target, delta, error", [
+        ([1.0, 0.0, 1.0, 0.0], 2.0, InvalidInput),
+        ([1.0, 0.0, 1.0, 0.0], -1.0, InvalidInput),
+        ([1.0, 0.0, 1.0, 0.0], np.nan, InvalidInput),
+        ([1.0, 0.0, 1.0, 0.0], True, InvalidInput),
+        ([np.nan, 0.0, 1.0, 0.0], 0.1, NonFiniteInput),
+    ], ids=["delta-above-one", "delta-negative", "delta-nan", "delta-bool", "target-nan"])
+    def test_rejects_its_own_bad_inputs(self, target, delta, error):
+        with pytest.raises(error):
+            smooth_target(target, PlayerDims([2, 2]), delta)
+
 
 class TestWrongLength:
     """A strategy or target whose length does not fit the game is refused."""
@@ -184,6 +196,9 @@ class TestKlToPure:
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[-1] >= 0.0
+
+    def test_empty_target_has_zero_divergence(self):
+        assert kl_to_pure(np.array([]), np.array([])) == 0.0
 
 
 class TestPotentialDelay:

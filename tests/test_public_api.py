@@ -166,6 +166,64 @@ def test_rejected_argument_is_invalid_input(call):
     assert isinstance(info.value, ValueError)  # callers that catch the builtin still do
 
 
+DIMS = qregames.PlayerDims([2, 2])
+GAME = qregames.Game(DIMS, 1.0, np.zeros(4), np.eye(4))
+X = qregames.uniform_strategy(DIMS)
+PURE = np.array([1.0, 0.0, 1.0, 0.0])
+
+
+def _extra_axis(v):
+    return np.asarray(v, dtype=float)[None]
+
+
+def _with_nan(v):
+    v = np.array(v, dtype=float)
+    v.flat[0] = np.nan
+    return v
+
+
+# (id, call): call(bad) passes bad(valid array) as the one argument under test
+ARRAY_ARGUMENTS = [
+    ("Game-b", lambda bad: qregames.Game(DIMS, 1.0, bad(np.zeros(4)), np.eye(4))),
+    ("Game-C", lambda bad: qregames.Game(DIMS, 1.0, np.zeros(4), bad(np.eye(4)))),
+    ("with_matrix", lambda bad: GAME.with_matrix(bad(np.eye(4)))),
+    ("logit_response", lambda bad: qregames.logit_response(GAME, bad(X))),
+    ("response_jacobian", lambda bad: qregames.response_jacobian(GAME, bad(X))),
+    ("solve_equilibrium-x0", lambda bad: qregames.solve_equilibrium(GAME, x0=bad(X))),
+    ("stationarity_residual", lambda bad: qregames.stationarity_residual(GAME, bad(X))),
+    ("implicit_gradient-x", lambda bad: qregames.implicit_gradient(GAME, bad(X), X)),
+    ("implicit_gradient-gradient", lambda bad: qregames.implicit_gradient(GAME, X, bad(X))),
+    ("check_strategy", lambda bad: qregames.check_strategy(bad(X), DIMS)),
+    ("project_cone_sum", lambda bad: qregames.project_cone_sum(bad(np.eye(4)), DIMS)),
+    ("project_feasible", lambda bad: qregames.project_feasible(bad(np.eye(4)), DIMS, 1.0)),
+    ("in_feasible_set", lambda bad: qregames.in_feasible_set(bad(np.eye(4)), DIMS, 1.0)),
+    ("max_margin_violation", lambda bad: qregames.max_margin_violation(
+        bad(np.eye(4)), qregames.build_margin_constraints(GAME, qregames.PureTarget([1, 1]), 1.0))),
+    ("smooth_target", lambda bad: qregames.smooth_target(bad(PURE), DIMS, 0.1)),
+    ("kl_objective", lambda bad: qregames.kl_objective(bad(PURE), DIMS)),
+    ("kl_to_pure-x", lambda bad: qregames.kl_to_pure(bad(X), PURE)),
+    ("kl_to_pure-target", lambda bad: qregames.kl_to_pure(X, bad(PURE))),
+    ("kl-value", lambda bad: qregames.kl_objective(PURE, DIMS).value(bad(X))),
+    ("kl-gradient", lambda bad: qregames.kl_objective(PURE, DIMS).gradient(bad(X))),
+    ("delay-value", lambda bad: qregames.potential_delay_objective(DIMS).value(bad(X))),
+    ("delay-gradient", lambda bad: qregames.potential_delay_objective(DIMS).gradient(bad(X))),
+    ("simulate_gumbel_choice",
+     lambda bad: qregames.simulate_gumbel_choice(bad(np.zeros(3)), 1.0, 10, seed=0)),
+]
+
+
+@pytest.mark.parametrize("bad, error", [(_extra_axis, qregames.DimensionMismatch),
+                                        (_with_nan, qregames.NonFiniteInput)],
+                         ids=["shape", "nan"])
+@pytest.mark.parametrize("call", [c for _, c in ARRAY_ARGUMENTS],
+                         ids=[name for name, _ in ARRAY_ARGUMENTS])
+def test_rejected_array_argument(call, bad, error):
+    """Every vector and matrix argument is read through one rule: a wrong
+    shape is DimensionMismatch and a NaN entry NonFiniteInput."""
+    with pytest.raises(error):
+        call(bad)
+
+
 def test_rejected_field_is_the_only_one_named():
     with pytest.raises(qregames.InvalidInput) as info:
         qregames.MinNormConfig(max_sweeps=0)
@@ -220,5 +278,27 @@ def test_range_rules_live_in_the_game_helpers():
             text = "".join(c.value for arg in node.exc.args for c in ast.walk(arg)
                            if isinstance(c, ast.Constant) and isinstance(c.value, str))
             if "must be" in text or "must lie" in text:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+@pytest.mark.parametrize("error, phrase", [("DimensionMismatch", "has shape"),
+                                           ("NonFiniteInput", "NaN or infinite")])
+def test_array_rule_lives_in_the_game_helper(error, phrase):
+    """No `raise DimensionMismatch(...)` outside game.py whose message says
+    "has shape", and no `raise NonFiniteInput(...)` that says "NaN or
+    infinite": an array argument goes through `game._array`, which owns the
+    one message format."""
+    offenders = []
+    for path in sorted(Path(qregames.__file__).parent.glob("*.py")):
+        if path.name == "game.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name) and node.exc.func.id == error):
+                continue
+            text = "".join(c.value for arg in node.exc.args for c in ast.walk(arg)
+                           if isinstance(c, ast.Constant) and isinstance(c.value, str))
+            if phrase in text:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
