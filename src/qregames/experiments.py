@@ -18,6 +18,8 @@ rows by that value; the CLI's `experiment` command runs these sweeps.
 from __future__ import annotations
 
 import concurrent.futures
+import csv
+import io
 import math
 import os
 from dataclasses import replace
@@ -30,7 +32,7 @@ from .bilevel import BilevelConfig, run_projected_gradient
 from .errors import InvalidGeometry, QreGamesError
 from .game import Game, PlayerDims, PureTarget, _real, _whole, pure_to_strategy
 from .min_norm import MinNormConfig, solve_min_norm_design
-from .objectives import PerformanceObjective, kl_to_pure
+from .objectives import PerformanceObjective, _area_totals, kl_to_pure
 
 COLLISION_LAMBDA = 0.1
 COLLISION_PATH_COSTS = (2.0, math.pi, math.pi)
@@ -109,9 +111,9 @@ def build_fair_game(
 
 
 def area_totals(x: np.ndarray, dims: PlayerDims) -> np.ndarray:
-    """Aggregate service per area (players must share the action set)."""
-    k = dims.sizes[0]
-    return np.asarray(x, dtype=float).reshape(dims.n, k).sum(axis=0)
+    """Aggregate service per area (players must share the action set), by the
+    potential-delay objective's rule: x must fit dims and every total be > 0."""
+    return _area_totals(dims.n, dims.sizes[0], x)
 
 
 def sdp_row(cfg: MinNormConfig) -> dict:
@@ -226,28 +228,16 @@ def sweep_bilevel_rho(
 def rows_to_csv(rows: Sequence[dict]) -> str:
     """Render sweep rows as CSV with stable column order and full precision.
 
-    Floats are written with repr so re-reading reproduces them bit-exactly.
+    Columns appear in first-seen order, a row's missing cells are empty and
+    bools are written lower-case.  Floats are written with repr, so re-reading
+    reproduces them bit-exactly.
     """
     if not rows:
         return ""
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for key in columns:
-            v = row.get(key, "")
-            if isinstance(v, bool):
-                cell = str(v).lower()
-            elif isinstance(v, float):
-                cell = repr(v)
-            else:
-                cell = str(v)
-            if "," in cell or '"' in cell or "\n" in cell:
-                cell = '"' + cell.replace('"', '""') + '"'
-            cells.append(cell)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    columns = list(dict.fromkeys(key for row in rows for key in row))
+    out = io.StringIO()
+    writer = csv.DictWriter(out, columns, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows({k: str(v).lower() if isinstance(v, bool) else v for k, v in row.items()}
+                     for row in rows)
+    return out.getvalue()

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
@@ -250,13 +250,7 @@ class AssumptionReport:
     tol: float
 
     def to_dict(self) -> dict:
-        return {
-            "min_eig_sym": self.min_eig_sym,
-            "diag_block_asymmetry": self.diag_block_asymmetry,
-            "lambda_ok": self.lambda_ok,
-            "passed": self.passed,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 def validate_game(g: Game) -> None:

@@ -20,7 +20,6 @@ and v = c elsewhere, makes every alternative cost c - 1 more.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -28,6 +27,7 @@ import numpy as np
 
 from .game import Game, PlayerDims, PureTarget, _array, _real, _whole, pure_to_strategy
 from .objectives import kl_objective
+from .projections import _project_rank_one, _psd_factor
 from .results import DesignResult
 from .solver import solve_equilibrium
 
@@ -128,32 +128,6 @@ def _margin_structure(
 def _off_block_sum(v: np.ndarray, dims: PlayerDims) -> np.ndarray:
     """M v: entry k sums v over the blocks of the players other than k's owner."""
     return v.sum() - np.add.reduceat(v, dims.starts)[dims.owner]
-
-
-def _psd_factor(a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """q with q q^T / 4 the PSD projection of (a t^T + t a^T) / 2; zero when a is.
-
-    That symmetric matrix has one positive eigenvalue, (|a| |t| + a.t) / 2,
-    on the direction a / |a| + t / |t|.
-    """
-    norm_a, norm_t = float(np.linalg.norm(a)), float(np.linalg.norm(t))
-    if norm_a == 0.0:
-        return np.zeros_like(a)
-    return math.sqrt(norm_t / norm_a) * a + math.sqrt(norm_a / norm_t) * t
-
-
-def _project_rank_one(a: np.ndarray, t: np.ndarray, dims: PlayerDims) -> np.ndarray:
-    """project_cone_sum(outer(a, t)) in closed form.
-
-    The PSD part is q q^T / 4; the skew part, (a t^T - t a^T) / 2 off the
-    diagonal blocks and zero on them, is formed as in project_cone_sum.
-    """
-    q = _psd_factor(a, t)
-    C = np.outer(a, t)
-    C = C - C.T
-    C *= dims._off_block_half
-    C += 0.25 * np.outer(q, q)
-    return C
 
 
 def _dual_min_norm(

@@ -49,9 +49,11 @@ def kl_objective(
 
     value(x) = sum_i x_i . (ln x_i - ln t_i) against the smoothed target
     t = (1-delta)*target + delta*uniform per block; gradient is
-    ln x - ln t + 1.  Smoothing keeps the value finite for pure targets.
+    ln x - ln t + 1.  Smoothing keeps the value finite for pure targets, so
+    a target with a zero entry needs delta > 0 (InvalidInput).
     """
     check_strategy(target, dims)
+    _real(smoothing_delta, "smoothing_delta", strict=not np.all(target), high=1.0)
     log_t = np.log(smooth_target(target, dims, smoothing_delta))
     return PerformanceObjective(
         value=partial(_kl_value, log_t), gradient=partial(_kl_gradient, log_t), name="kl"

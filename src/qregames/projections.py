@@ -4,7 +4,9 @@ The design routes constrain C to the cone of matrices with PSD symmetric
 part and symmetric diagonal blocks, optionally intersected with a Frobenius
 ball of radius rho.  Both projections are exact: the cone splits into a PSD
 projection of the symmetric part plus a diagonal-block-zeroing of the skew
-part, and the ball composes on the outside by a radial rescale.
+part, and the ball composes on the outside by a radial rescale.  The
+min-norm dual projects only rank-one matrices a t^T, whose cone projection
+has a closed form (`_project_rank_one`).
 """
 
 from __future__ import annotations
@@ -27,24 +29,50 @@ def project_psd(S: np.ndarray) -> np.ndarray:
     return (V * w) @ V.T
 
 
+def _skew_part(X: np.ndarray, dims: PlayerDims) -> np.ndarray:
+    """The cone projection of X's skew part, as a new array: (X - X^T) times
+    dims._off_block_half, which halves it off the diagonal blocks and zeroes
+    it on them."""
+    skew = X - X.T
+    skew *= dims._off_block_half
+    return skew
+
+
 def project_cone_sum(C: np.ndarray, dims: PlayerDims) -> np.ndarray:
     """Project onto {C : C + C^T >= 0, diagonal blocks symmetric}.
 
     The set is the direct sum of two orthogonal cones: PSD symmetric
     matrices, and skew matrices with (necessarily zero) diagonal blocks.
     Projecting each part independently is therefore exact.  The skew part
-    is formed in one pass as (C - C^T) * dims._off_block_half, which halves
-    it off the diagonal blocks and zeroes it on them, and is added into the
-    new PSD matrix, which is returned.
+    (`_skew_part`) is added into the new PSD matrix, which is returned.
     """
     C = _array(C, (dims.total, dims.total), "C")
     sym = C + C.T
     sym *= 0.5
-    skew = C - C.T
-    skew *= dims._off_block_half
     P = project_psd(sym)
-    P += skew
+    P += _skew_part(C, dims)
     return P
+
+
+def _psd_factor(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """q with q q^T / 4 the PSD projection of (a t^T + t a^T) / 2; zero when a is.
+
+    That symmetric matrix has one positive eigenvalue, (|a| |t| + a.t) / 2,
+    on the direction a / |a| + t / |t|.
+    """
+    norm_a, norm_t = float(np.linalg.norm(a)), float(np.linalg.norm(t))
+    if norm_a == 0.0:
+        return np.zeros_like(a)
+    return math.sqrt(norm_t / norm_a) * a + math.sqrt(norm_a / norm_t) * t
+
+
+def _project_rank_one(a: np.ndarray, t: np.ndarray, dims: PlayerDims) -> np.ndarray:
+    """project_cone_sum(outer(a, t)) in closed form: the PSD part is
+    q q^T / 4 (`_psd_factor`), plus the skew part."""
+    C = _skew_part(np.outer(a, t), dims)
+    q = _psd_factor(a, t)
+    C += 0.25 * np.outer(q, q)
+    return C
 
 
 def project_feasible(C: np.ndarray, dims: PlayerDims, rho: float) -> np.ndarray:

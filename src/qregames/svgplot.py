@@ -13,7 +13,9 @@ from typing import Sequence
 _WIDTH, _HEIGHT = 640, 420
 _MARGIN = 60
 
-_BAR_COLORS = ("#c23b3b", "#3b8a4e", "#3b5fc2")
+# One fill per series up to nine, the fair scenario's area count; more series cycle.
+_BAR_COLORS = ("#c23b3b", "#3b8a4e", "#3b5fc2", "#d98c1f", "#8a4ec2",
+               "#2a9d9d", "#c25fa0", "#7a6a3b", "#5f5f5f")
 
 
 def _fmt(v: float) -> str:
@@ -31,6 +33,14 @@ def _scale(values: Sequence[float], lo_px: float, hi_px: float, log: bool = Fals
         return lo_px + (t - vmin) / (vmax - vmin) * (hi_px - lo_px)
 
     return to_px
+
+
+def _frame(title: str) -> str:
+    """The opening of every chart: the svg tag, white background, title and x axis."""
+    return f"""<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}">
+<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>
+<text x="{_WIDTH // 2}" y="24" font-size="14" text-anchor="middle">{title}</text>
+<line x1="{_MARGIN}" y1="{_HEIGHT - _MARGIN}" x2="{_WIDTH - _MARGIN}" y2="{_HEIGHT - _MARGIN}" stroke="black"/>"""
 
 
 def line_chart(
@@ -57,10 +67,7 @@ def line_chart(
         f'text-anchor="middle">{_fmt(a)}</text>'
         for a in x
     )
-    return f"""<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}">
-<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>
-<text x="{_WIDTH // 2}" y="24" font-size="14" text-anchor="middle">{title}</text>
-<line x1="{_MARGIN}" y1="{_HEIGHT - _MARGIN}" x2="{_WIDTH - _MARGIN}" y2="{_HEIGHT - _MARGIN}" stroke="black"/>
+    return f"""{_frame(title)}
 <line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" y2="{_HEIGHT - _MARGIN}" stroke="black"/>
 <text x="{_WIDTH // 2}" y="{_HEIGHT - 16}" font-size="12" text-anchor="middle">{x_label}</text>
 <text x="18" y="{_HEIGHT // 2}" font-size="12" text-anchor="middle" transform="rotate(-90 18 {_HEIGHT // 2})">{y_label}</text>
@@ -104,10 +111,7 @@ def stacked_bars(
         for s, name in enumerate(series_names)
     )
     body = "\n".join(parts)
-    return f"""<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}">
-<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>
-<text x="{_WIDTH // 2}" y="24" font-size="14" text-anchor="middle">{title}</text>
-<line x1="{_MARGIN}" y1="{_HEIGHT - _MARGIN}" x2="{_WIDTH - _MARGIN}" y2="{_HEIGHT - _MARGIN}" stroke="black"/>
+    return f"""{_frame(title)}
 {body}
 {legend}
 </svg>

@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -129,6 +130,14 @@ class TestDesignCommands:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:InvalidInput:")
 
+    def test_design_bilevel_kl_pure_target_needs_smoothing(self, collision_path, capsys,
+                                                           recwarn):
+        code = main(["design-bilevel", "--game", collision_path, "--objective", "kl",
+                     "--target", "3,3,3,3", "--delta", "0", "--rho", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:InvalidInput: smoothing_delta")
+        assert len(recwarn) == 0
+
     @pytest.mark.parametrize("target", ["3,3", "3,3,3,3,3", "3,3,3,4"])
     def test_design_sdp_target_must_fit_dims(self, collision_path, target, capsys):
         assert main(["design-sdp", "--game", collision_path, "--target", target]) == 2
@@ -191,6 +200,28 @@ class TestExperimentCommand:
         assert code == 3
         assert "error" in out.read_text().split("\n")[0].split(",")
         assert svg.read_text().startswith("<svg ") and "<circle" not in svg.read_text()
+
+    def test_collision_bilevel_needs_smoothing(self, tmp_path, capsys, recwarn):
+        out = tmp_path / "rows.csv"
+        code = main(["experiment", "collision-bilevel", "--rho-grid", "1", "--delta", "0",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:InvalidInput: smoothing_delta")
+        assert len(recwarn) == 0 and not out.exists()
+
+    def test_fair_plot_gives_each_area_its_own_fill(self, tmp_path):
+        svgs = [tmp_path / "a.svg", tmp_path / "b.svg"]
+        for svg in svgs:
+            assert main(["experiment", "fair", "--rho-grid", "0.01,10",
+                         "--out", str(tmp_path / "fair.csv"), "--plot", str(svg)]) == 0
+        assert svgs[0].read_bytes() == svgs[1].read_bytes()
+        text = svgs[0].read_text()
+        legend = re.findall(r'width="12" height="12" fill="([^"]+)"/><text [^>]*>([^<]+)<', text)
+        assert [name for _, name in legend] == list(experiments.AREA_NAMES)
+        fills = [fill for fill, _ in legend]
+        assert len(set(fills)) == 9
+        bars = re.findall(r'width="[0-9]+\.[0-9]+" height="[^"]*" fill="([^"]+)"', text)
+        assert bars == fills * 2  # one bar per rho, one slice per area in legend order
 
     def test_unconverged_row_exits_3(self, tmp_path):
         out = tmp_path / "rows.csv"

@@ -17,6 +17,7 @@ from qregames import (
 from qregames import experiments
 from qregames.experiments import (
     AREA_NAMES,
+    DEFAULT_EPS_GRID,
     DEFAULT_RHO_GRID,
     FAIR_HOMES,
     GRID4_ADJACENCY,
@@ -213,6 +214,27 @@ def test_bilevel_rows_never_lose_ground(default_bilevel_rows, scenario):
         assert row["psi_value"] <= pinned + 1e-9 * max(1.0, abs(pinned)), row
 
 
+# c_norm of each default `experiment collision-sdp` row when this ratchet was
+# set, by epsilon.  One-sided: a row may find a smaller design.
+PINNED_C_NORM = {
+    0.5: 2.6949535978976447, 1.0: 3.7242704607575616, 1.5: 4.792844189269256,
+    2.0: 5.87957445960562, 2.5: 6.976044837422674, 3.0: 8.078310459653894,
+    3.5: 9.184292751620104, 4.0: 10.29279709361196, 4.5: 11.40308964685031,
+    5.0: 12.51469533442068,
+}
+
+
+def test_sdp_rows_never_lose_ground():
+    """Each default min-norm row stays converged, with c_norm at most its
+    pinned value plus 1e-9 max(1, c_norm)."""
+    rows = sweep_sdp_epsilon(DEFAULT_EPS_GRID)
+    assert [r["epsilon"] for r in rows] == list(PINNED_C_NORM)
+    for row in rows:
+        pinned = PINNED_C_NORM[row["epsilon"]]
+        assert row["converged"] is True, row
+        assert row["c_norm"] <= pinned + 1e-9 * max(1.0, pinned), row
+
+
 class TestCsv:
     def test_column_order_and_quoting(self):
         rows = [
@@ -237,3 +259,6 @@ class TestCsv:
         x = np.full(27, 1.0 / 9.0)
         totals = area_totals(x, game.dims)
         assert np.allclose(totals, 1.0 / 3.0)
+        x[::9] = 0.0  # no company serves NW: the objectives' rule refuses it
+        with pytest.raises(ZeroAreaTotal):
+            area_totals(x, game.dims)

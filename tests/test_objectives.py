@@ -91,6 +91,11 @@ class TestKlObjective:
         smoothed = kl_objective(target, dims, smoothing_delta=1e-3)
         assert np.isfinite(smoothed.value(np.array([0.9, 0.1])))
 
+    @pytest.mark.parametrize("delta", [0.0, np.float32(0.0)])
+    def test_pure_target_rejects_zero_smoothing(self, delta, recwarn):
+        with pytest.raises(InvalidInput, match="smoothing_delta"):
+            kl_objective(np.array([1.0, 0.0]), PlayerDims([2]), smoothing_delta=delta)
+        assert len(recwarn) == 0  # refused before ln 0 is taken
 
     def test_in_place_matches_textbook_bit_for_bit(self, rng):
         dims = PlayerDims([1, 4, 2, 7])

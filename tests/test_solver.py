@@ -419,6 +419,59 @@ class TestStationarity:
             stationarity_residual(g, np.array([1.0, 0.0]))
 
 
+def error_bound(g: Game, x: np.ndarray) -> float:
+    """||Pi_T(b + Cx + lam ln x)||_2 / (2 lam), with Pi_T subtracting each block's mean."""
+    r = g.b + g.C @ x + g.lam * np.log(x)
+    r -= np.repeat(np.add.reduceat(r, g.dims.starts) / g.dims.sizes, g.dims.sizes)
+    return float(np.linalg.norm(r)) / (2.0 * g.lam)
+
+
+def distinct_equilibria(g: Game, rng, starts: int) -> list[np.ndarray]:
+    """The equilibria that tight solves from random interior starts reach."""
+    found = []
+    for _ in range(starts):
+        out = solve_equilibrium(g, SolverConfig(residual_tol=1e-24),
+                                x0=random_interior_strategy(rng, g.dims))
+        if out.converged and all(np.abs(out.x - x).max() > 1e-6 for x in found):
+            found.append(out.x)
+    return found
+
+
+class TestErrorBound:
+    """On a certified game, b + Cx + lam ln x is strongly monotone with modulus
+    2 lam on the product of simplices (Pinsker per block, and ||d||_1^2 >=
+    2 ||d||_2^2 for a zero-sum block), so every interior x is within
+    `error_bound` of the equilibrium."""
+
+    def test_bound_holds_on_converged_solves(self, rng):
+        for _ in range(20):
+            sizes = list(rng.integers(2, 5, size=rng.integers(2, 4)))
+            g = random_certified_game(rng, sizes, lam=rng.uniform(0.3, 0.6),
+                                      coupling=rng.uniform(0.5, 2.0))
+            reference = damped_fixed_point(g, tau=0.2, tol=1e-13)
+            for tol in (1e-2, 1e-4, 1e-6, 1e-10):
+                out = solve_equilibrium(g, SolverConfig(residual_tol=tol))
+                assert out.converged
+                # 1e-10 covers the reference's own error
+                assert np.linalg.norm(out.x - reference) <= error_bound(g, out.x) + 1e-10
+
+    @pytest.mark.parametrize("ratio, count", [(1.9, 1), (2.1, 3)])
+    def test_coordination_game_bifurcates_at_k_equal_2_lambda(self, rng, ratio, count):
+        """Two players paid k for matching, C12 = C21 = -k I: the symmetric
+        part's smallest eigenvalue is -k, so the modulus 2 lam - k stays
+        positive, and the equilibrium unique, up to k = 2 lam.  Past it the
+        symmetric equilibrium splits in three."""
+        k = ratio * 0.1
+        C = np.zeros((4, 4))
+        C[:2, 2:] = C[2:, :2] = -k * np.eye(2)
+        g = Game(PlayerDims([2, 2]), 0.1, np.zeros(4), C)
+        assert not check_assumption(g).passed
+        found = distinct_equilibria(g, rng, 40)
+        assert len(found) == count
+        for x in found:
+            assert np.abs(x[:2] - x[2:]).max() <= 1e-9  # both players mix alike
+
+
 class TestGumbelChoice:
     def test_symmetric_costs(self):
         freq = simulate_gumbel_choice(np.zeros(3), 1.0, 10**6, seed=7)
