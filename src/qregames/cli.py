@@ -35,12 +35,13 @@ from .errors import (
     NonPositiveLambda,
     QreGamesError,
 )
-from .game import (ASSUMPTION_TOL, PureTarget, _read_json_object, _real, check_assumption,
-                   load_game, pure_to_strategy)
+from .game import (ASSUMPTION_TOL, PlayerDims, PureTarget, _array, _read_json_object, _real,
+                   check_assumption, load_game, pure_to_strategy)
 from .min_norm import MinNormConfig, solve_min_norm_design
 from .objectives import KL_SMOOTHING_DEFAULT, kl_objective, kl_to_pure, potential_delay_objective
 from .results import DesignResult
-from .solver import SolverConfig, simulate_gumbel_choice, solve_equilibrium, stationarity_residual
+from .solver import (SolverConfig, blockwise_softmax, simulate_gumbel_choice, solve_equilibrium,
+                     stationarity_residual)
 from .svgplot import line_chart, stacked_bars
 
 _INPUT_ERRORS = (
@@ -194,9 +195,9 @@ def _cmd_simulate(args) -> int:
     cost = np.array(_parse_floats(args.cost, "--cost"))
     _real(args.lam, "--lambda")
     freq = simulate_gumbel_choice(cost, args.lam, args.samples, args.seed)
-    z = -cost / args.lam
-    e = np.exp(z - z.max())
-    logit = e / e.sum()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        logit = blockwise_softmax(cost / -args.lam, PlayerDims([cost.size]))
+    _array(logit, None, "logit response to -cost/lambda")
     payload = {
         "cost": cost.tolist(),
         "lambda": args.lam,
@@ -215,10 +216,7 @@ def _cmd_simulate(args) -> int:
 
 def _fair_adjacency(args):
     if args.adjacency_json is not None:
-        data = _read_json_object(args.adjacency_json, "adjacency JSON")
-        if not all(isinstance(v, list) for v in data.values()):
-            raise InvalidInput("adjacency JSON must map area names to lists of area names")
-        return {str(k): tuple(v) for k, v in data.items()}
+        return _read_json_object(args.adjacency_json, "adjacency JSON")
     return experiments.GRID4_ADJACENCY if args.adjacency == "grid4" else experiments.NO_ADJACENCY
 
 

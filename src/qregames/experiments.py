@@ -22,14 +22,14 @@ import csv
 import io
 import math
 import os
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import replace
 from functools import partial
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .bilevel import BilevelConfig, run_projected_gradient
-from .errors import InvalidGeometry, QreGamesError
+from .errors import InvalidGeometry, InvalidInput, QreGamesError
 from .game import Game, PlayerDims, PureTarget, _real, _whole, pure_to_strategy
 from .min_norm import MinNormConfig, solve_min_norm_design
 from .objectives import PerformanceObjective, _area_totals, kl_to_pure
@@ -86,14 +86,21 @@ def build_fair_game(
 
     Each company pays 1.0 in its home area, 1.5 in areas adjacent to home
     per the given map, and 1.8 everywhere else.  The default map has no
-    adjacencies.
+    adjacencies.  The map is a mapping, and `homes` and each neighbour list
+    a list or tuple of names, else InvalidInput; a name that is not an area,
+    or homes that are not 3 distinct areas, raise InvalidGeometry.
     """
     adjacency = NO_ADJACENCY if adjacency is None else adjacency
-    if len(homes) != 3 or len(set(homes)) != 3:
-        raise InvalidGeometry(f"need 3 distinct home areas, got {homes!r}")
+    if not (isinstance(adjacency, Mapping)
+            and all(isinstance(v, (list, tuple)) for v in adjacency.values())):
+        raise InvalidInput(f"adjacency maps area names to lists of names, got {adjacency!r}")
+    if not isinstance(homes, (list, tuple)):
+        raise InvalidInput(f"homes is a list of area names, got {homes!r}")
     unknown = [h for h in homes if h not in AREA_NAMES]
     if unknown:
         raise InvalidGeometry(f"unknown home areas {unknown!r}")
+    if len(homes) != 3 or len(set(homes)) != 3:
+        raise InvalidGeometry(f"need 3 distinct home areas, got {homes!r}")
     for area, neighbours in adjacency.items():
         if area not in AREA_NAMES or any(nb not in AREA_NAMES for nb in neighbours):
             raise InvalidGeometry(f"adjacency references unknown areas: {area!r} -> {neighbours!r}")

@@ -9,9 +9,9 @@ j's strategy.  Actions are numbered from 1 in all public interfaces.
 `_whole` and `_real` hold the library's one rule for a scalar argument's
 type and range, and its one message format; every module checks counts,
 indices, tolerances, radii and margins through them.  `_array` holds the
-one rule for a vector or matrix argument (its shape, then finite entries),
-and `_positive` the one strict-positivity rule for a strategy; every module
-reads its array arguments through them.
+one rule for a vector or matrix argument (numbers, then its shape, then
+finite entries), and `_positive` the one strict-positivity rule for a
+strategy; every module reads its array arguments through them.
 """
 
 from __future__ import annotations
@@ -78,11 +78,15 @@ def _check_lambda(lam) -> None:
 
 
 def _array(v, shape: tuple[int, ...] | None, what: str, *, finite: bool = True) -> np.ndarray:
-    """v as a float array (v itself if it is one) if it has `shape` (any shape when
-    None), else DimensionMismatch; and if its entries are finite, else NonFiniteInput.
-    finite=False leaves the entries to the caller's `_positive` test, which checks
-    finiteness in the same min/max pass as positivity."""
-    arr = np.asarray(v, dtype=float)
+    """v as a float array (v itself if it is one) if numpy reads it as one (a string
+    such as "abc", a ragged list or a dict is not), else InvalidInput; if it has
+    `shape` (any shape when None), else DimensionMismatch; and if its entries are
+    finite, else NonFiniteInput.  finite=False leaves the entries to the caller's
+    `_positive` test, which checks finiteness in the same min/max pass as positivity."""
+    try:
+        arr = np.asarray(v, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"{what} must hold numbers: {exc}") from exc
     if shape is not None and arr.shape != shape:
         raise DimensionMismatch(f"{what} has shape {arr.shape}, expected {shape}")
     if finite and not np.isfinite(arr).all():
@@ -183,7 +187,7 @@ class PlayerDims:
 
 
 def _frozen_array(a, shape, what: str) -> np.ndarray:
-    return _read_only(_array(np.array(a, dtype=float), shape, what))
+    return _read_only(np.array(_array(a, shape, what)))
 
 
 @dataclass(frozen=True, eq=False)

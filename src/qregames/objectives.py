@@ -50,11 +50,16 @@ def kl_objective(
     value(x) = sum_i x_i . (ln x_i - ln t_i) against the smoothed target
     t = (1-delta)*target + delta*uniform per block; gradient is
     ln x - ln t + 1.  Smoothing keeps the value finite for pure targets, so
-    a target with a zero entry needs delta > 0 (InvalidInput).
+    every entry of t must be positive (InvalidInput): a target with a zero
+    entry needs a delta whose share delta/m_i of each block does not
+    underflow to 0.
     """
     check_strategy(target, dims)
-    _real(smoothing_delta, "smoothing_delta", strict=not np.all(target), high=1.0)
-    log_t = np.log(smooth_target(target, dims, smoothing_delta))
+    t = smooth_target(target, dims, smoothing_delta)
+    _positive(t, "smoothed target", InvalidInput,
+              f"smoothing_delta {float(smoothing_delta)!r} leaves a zero entry in the "
+              "smoothed target, whose logarithm the divergence takes")
+    log_t = np.log(t)
     return PerformanceObjective(
         value=partial(_kl_value, log_t), gradient=partial(_kl_gradient, log_t), name="kl"
     )

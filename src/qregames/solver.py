@@ -256,15 +256,15 @@ def simulate_gumbel_choice(
     Draws Gumbel(0, lam) noise by inverse CDF, -lam*ln(-ln(U)), and picks
     argmax_k(-cost_k + noise_k) per sample; this max-stable form reproduces
     the logit response exactly in distribution.  Deterministic given seed.
-    cost must be a non-empty 1-D vector, else DimensionMismatch, with finite
-    entries, else NonFiniteInput; samples
-    and seed must be whole numbers, samples >= 1 and seed >= 0, else InvalidInput.
+    cost must hold numbers, else InvalidInput, with finite entries, else
+    NonFiniteInput, and be a non-empty 1-D vector, else DimensionMismatch;
+    samples and seed must be whole numbers, samples >= 1 and seed >= 0, else
+    InvalidInput.
     """
-    cost = np.asarray(cost, dtype=float)
+    cost = _array(cost, None, "cost")
     if cost.ndim != 1 or cost.size == 0:
         raise DimensionMismatch(f"cost must be a non-empty vector, got shape {cost.shape}")
     _check_lambda(lam)
-    _array(cost, None, "cost")
     samples = _whole(samples, "samples", 1)
     seed = _whole(seed, "seed", 0)
     k = cost.shape[0]

@@ -55,6 +55,19 @@ def damped_fixed_point(
     raise AssertionError("fixed-point oracle did not converge")
 
 
+def in_cone(C: np.ndarray, dims: PlayerDims, eig_tol: float = 1e-9,
+            block_tol: float = 1e-10) -> bool:
+    """Independent cone oracle: (C + C^T)/2 PSD up to -eig_tol, and every
+    diagonal block symmetric up to block_tol in Frobenius norm."""
+    if np.linalg.eigvalsh(0.5 * (C + C.T)).min() < -eig_tol:
+        return False
+    return all(
+        np.linalg.norm(C[dims.block(i), dims.block(i)] - C[dims.block(i), dims.block(i)].T)
+        <= block_tol
+        for i in range(dims.n)
+    )
+
+
 def finite_difference_gradient(fn, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
     """Central finite differences of a scalar function of a vector."""
     g = np.zeros_like(x)

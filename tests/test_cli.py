@@ -172,6 +172,22 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith("error:InvalidInput:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("cost, lam", [("1,2", "1e-320"), ("1e308", "0.1")])
+    def test_overflowing_logit_column(self, cost, lam, tmp_path, capsys):
+        # -cost/lambda overflows to -inf in every entry, so the softmax has no value
+        out = tmp_path / "sim.json"
+        argv = ["simulate", "--cost", cost, "--lambda", lam, "--samples", "10", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:NonFiniteInput:")
+        assert not out.exists()
+
+    def test_logit_column_with_one_overflowing_entry(self, tmp_path):
+        out = tmp_path / "sim.json"
+        argv = ["simulate", "--cost", "1,1e308", "--lambda", "0.1", "--samples", "10",
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["logit_response"] == [1.0, 0.0]
+
 
 class TestExperimentCommand:
     def test_fair_csv(self, tmp_path):
@@ -434,6 +450,15 @@ class TestDeterminismAndErrors:
         assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:InvalidInput:")
         assert not out.exists()
+
+    def test_adjacency_json_matches_the_built_in_map(self, tmp_path):
+        path = tmp_path / "grid4.json"
+        path.write_text(json.dumps({k: list(v) for k, v in experiments.GRID4_ADJACENCY.items()}))
+        outs = [tmp_path / "built-in.csv", tmp_path / "json.csv"]
+        base = ["experiment", "fair", "--rho-grid", "0.5"]
+        assert main(base + ["--adjacency", "grid4", "--out", str(outs[0])]) == 0
+        assert main(base + ["--adjacency-json", str(path), "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_missing_adjacency_json(self, tmp_path, capsys):
         argv = ["experiment", "fair", "--rho-grid", "1",

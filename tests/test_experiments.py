@@ -84,6 +84,21 @@ class TestFairScenario:
             build_fair_game(homes=("SW", "SE", "Mars"))
         with pytest.raises(InvalidGeometry):
             build_fair_game(adjacency={"Mars": ("SW",)})
+        with pytest.raises(InvalidGeometry):
+            build_fair_game(adjacency={"SW": ("Mars",)})
+
+    @pytest.mark.parametrize("kwargs", [
+        {"adjacency": {"SW": "NW"}},  # a string is not read as its letters
+        {"adjacency": {"SW": None}},
+        {"adjacency": {"SW": 5}},
+        {"adjacency": 5},
+        {"homes": "SWE"},
+        {"homes": None},
+    ], ids=["neighbours-str", "neighbours-none", "neighbours-int", "adjacency-int",
+            "homes-str", "homes-none"])
+    def test_area_map_takes_lists_of_names(self, kwargs):
+        with pytest.raises(InvalidInput):
+            build_fair_game(**kwargs)
 
 
 class TestSweeps:

@@ -18,6 +18,8 @@ from qregames import (
 from qregames.experiments import DEFAULT_EPS_GRID, build_collision_game
 from qregames.min_norm import _margin_structure, _project_rank_one
 
+from conftest import in_cone
+
 
 def two_action_game(b, lam=0.1):
     dims = PlayerDims([2])
@@ -206,16 +208,6 @@ class TestSolveMinNormDesign:
             solve_min_norm_design(g, PureTarget(chosen))
         with pytest.raises(IndexOutOfRange):
             build_margin_constraints(g, PureTarget(chosen), epsilon=1.0)
-
-
-def in_cone(C, dims, eig_tol=1e-9, block_tol=1e-10):
-    if np.linalg.eigvalsh(0.5 * (C + C.T)).min() < -eig_tol:
-        return False
-    return all(
-        np.linalg.norm(C[dims.block(i), dims.block(i)] - C[dims.block(i), dims.block(i)].T)
-        <= block_tol
-        for i in range(dims.n)
-    )
 
 
 class TestDualSolver:

@@ -97,6 +97,12 @@ class TestKlObjective:
             kl_objective(np.array([1.0, 0.0]), PlayerDims([2]), smoothing_delta=delta)
         assert len(recwarn) == 0  # refused before ln 0 is taken
 
+    def test_smoothing_that_underflows_is_rejected(self, recwarn):
+        # delta / 3 rounds to 0.0, so the smoothed target keeps its zeros
+        with pytest.raises(InvalidInput, match="^smoothing_delta"):
+            kl_objective(np.array([1.0, 0.0, 0.0]), PlayerDims([3]), smoothing_delta=5e-324)
+        assert len(recwarn) == 0
+
     def test_in_place_matches_textbook_bit_for_bit(self, rng):
         dims = PlayerDims([1, 4, 2, 7])
         target = random_interior_strategy(rng, dims)

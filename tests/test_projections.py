@@ -10,17 +10,7 @@ from qregames import (
     project_feasible,
 )
 
-from conftest import sample_feasible_matrices
-
-
-def cone_member(C, dims, eig_tol=1e-9, block_tol=1e-10):
-    if np.linalg.eigvalsh(0.5 * (C + C.T)).min() < -eig_tol:
-        return False
-    for i in range(dims.n):
-        blk = C[dims.block(i), dims.block(i)]
-        if np.linalg.norm(blk - blk.T) > block_tol:
-            return False
-    return True
+from conftest import in_cone, sample_feasible_matrices
 
 
 def textbook_cone_sum(C, dims):
@@ -71,7 +61,7 @@ class TestProjectConeSum:
         dims = PlayerDims([2, 3])
         for _ in range(20):
             P = project_cone_sum(rng.normal(size=(5, 5)), dims)
-            assert cone_member(P, dims)
+            assert in_cone(P, dims)
 
     def test_variational_inequality_optimality(self, rng):
         # P is the projection of C iff <C - P, Y - P> <= 0 for all feasible Y
@@ -163,7 +153,7 @@ class TestProjectFeasible:
             for rho in (1.0, 2.0, 3.0):
                 got = in_feasible_set(C, dims, rho)
                 assert type(got) is bool
-                assert got == (cone_member(C, dims) and np.linalg.norm(C) <= rho + 1e-9)
+                assert got == (in_cone(C, dims) and np.linalg.norm(C) <= rho + 1e-9)
 
     def test_idempotent(self, rng):
         dims = PlayerDims([3, 3])

@@ -4,7 +4,10 @@ each config, the fields of a solve and the errors the library raises."""
 import ast
 import builtins
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +185,10 @@ def _with_nan(v):
     return v
 
 
+def _non_numeric(v):
+    return np.full(np.shape(v), "abc")
+
+
 # (id, call): call(bad) passes bad(valid array) as the one argument under test
 ARRAY_ARGUMENTS = [
     ("Game-b", lambda bad: qregames.Game(DIMS, 1.0, bad(np.zeros(4)), np.eye(4))),
@@ -213,15 +220,24 @@ ARRAY_ARGUMENTS = [
 
 
 @pytest.mark.parametrize("bad, error", [(_extra_axis, qregames.DimensionMismatch),
-                                        (_with_nan, qregames.NonFiniteInput)],
-                         ids=["shape", "nan"])
+                                        (_with_nan, qregames.NonFiniteInput),
+                                        (_non_numeric, qregames.InvalidInput)],
+                         ids=["shape", "nan", "non-numeric"])
 @pytest.mark.parametrize("call", [c for _, c in ARRAY_ARGUMENTS],
                          ids=[name for name, _ in ARRAY_ARGUMENTS])
 def test_rejected_array_argument(call, bad, error):
-    """Every vector and matrix argument is read through one rule: a wrong
-    shape is DimensionMismatch and a NaN entry NonFiniteInput."""
+    """Every vector and matrix argument is read through one rule: entries
+    that are not numbers are InvalidInput, a wrong shape is
+    DimensionMismatch and a NaN entry NonFiniteInput."""
     with pytest.raises(error):
         call(bad)
+
+
+@pytest.mark.parametrize("v", [[[1.0, 2.0], [3.0]], {"a": 1.0}, [10**400]],
+                         ids=["ragged", "dict", "huge-int"])
+def test_array_that_numpy_cannot_read_is_invalid_input(v):
+    with pytest.raises(qregames.InvalidInput, match="^b must hold numbers: "):
+        qregames.Game(qregames.PlayerDims([2]), 1.0, v, np.eye(2))
 
 
 def test_rejected_field_is_the_only_one_named():
@@ -302,3 +318,16 @@ def test_array_rule_lives_in_the_game_helper(error, phrase):
             if phrase in text:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_import_loads_no_cli_or_sweep_modules():
+    """`import qregames` in a fresh interpreter loads neither the CLI, the
+    sweeps and the chart writer nor the standard modules only they need."""
+    probe = ("import sys, qregames; print(' '.join(m for m in ("
+             "'qregames.cli', 'qregames.experiments', 'qregames.svgplot', "
+             "'argparse', 'csv', 'concurrent.futures') if m in sys.modules))")
+    src = str(Path(qregames.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == []

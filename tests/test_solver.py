@@ -437,6 +437,13 @@ def distinct_equilibria(g: Game, rng, starts: int) -> list[np.ndarray]:
     return found
 
 
+def tangent_basis(dims: PlayerDims) -> np.ndarray:
+    """Orthonormal basis of T, the strategy differences whose every block sums to 0."""
+    block_mean = np.where(dims._same_block, 1.0, 0.0) / np.repeat(dims.sizes, dims.sizes)
+    w, V = np.linalg.eigh(np.eye(dims.total) - block_mean)
+    return V[:, w > 0.5]
+
+
 class TestErrorBound:
     """On a certified game, b + Cx + lam ln x is strongly monotone with modulus
     2 lam on the product of simplices (Pinsker per block, and ||d||_1^2 >=
@@ -470,6 +477,36 @@ class TestErrorBound:
         assert len(found) == count
         for x in found:
             assert np.abs(x[:2] - x[2:]).max() <= 1e-9  # both players mix alike
+
+    def test_jacobian_stays_nonsingular_past_the_certificate(self, rng):
+        """With kappa the smallest eigenvalue of sym(C) on T: J_u <= I/2 with its
+        range in T gives sym(I + (1/lam) J_u^1/2 C J_u^1/2) >= (1 + kappa/(2 lam)) I,
+        so H = I + (1/lam) C J_u stays nonsingular for -2 lam < kappa < 0, where
+        the certificate fails."""
+        for _ in range(20):
+            sizes = list(rng.integers(2, 5, size=rng.integers(2, 4)))
+            lam = rng.uniform(0.05, 0.5)
+            g = random_certified_game(rng, sizes, lam=lam, coupling=rng.uniform(0.5, 2.0))
+            Q = tangent_basis(g.dims)
+
+            def kappa_of(C):
+                return np.linalg.eigvalsh(Q.T @ (0.5 * (C + C.T)) @ Q)[0]
+
+            # lower sym(C) on T only, leaving the diagonal blocks symmetric
+            shift = kappa_of(g.C) + rng.uniform(0.05, 0.95) * 2 * lam
+            g = g.with_matrix(g.C - shift * (Q @ Q.T))
+            kappa = kappa_of(g.C)
+            assert -2 * lam < kappa < 0 and not check_assumption(g).passed
+            for _ in range(5):
+                x = random_interior_strategy(rng, g.dims)
+                J = np.where(g.dims._same_block, -np.outer(x, x), 0.0) + np.diag(x)
+                w, V = np.linalg.eigh(J)
+                root = (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
+                M = np.eye(g.dims.total) + root @ g.C @ root / lam
+                assert np.linalg.eigvalsh(0.5 * (M + M.T))[0] >= 1 + kappa / (2 * lam) - 1e-12
+                H = qregames.solver.cost_residual_jacobian(g, x)
+                # measured >= 0.035 over 200 such games and 20 strategies each
+                assert np.linalg.svd(H, compute_uv=False)[-1] > 1e-6
 
 
 class TestGumbelChoice:
