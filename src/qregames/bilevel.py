@@ -10,7 +10,6 @@ along the feasible direction: one projection per step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -19,9 +18,9 @@ import numpy as np
 from .errors import DecompositionFailure, InnerSolveFailure
 from .game import Game, _array, _real, _whole
 from .objectives import PerformanceObjective
-from .projections import project_feasible
+from .projections import _norm, _project_feasible
 from .results import DesignResult
-from .solver import SolverConfig, cost_residual_jacobian, solve_equilibrium
+from .solver import SolverConfig, _linear_solve, _solve_equilibrium, cost_residual_jacobian
 
 # The outer loop needs equilibria resolved well below its own stopping
 # tolerance, otherwise solver noise masks the gradient near stationarity.
@@ -78,7 +77,7 @@ def _implicit_gradient(g: Game, x: np.ndarray, grad_psi_x: np.ndarray) -> np.nda
     np.subtract(grad_psi_x, Ju_v, out=Ju_v)
     Ju_v *= x
     try:
-        w = np.linalg.solve(cost_residual_jacobian(g, x).T, Ju_v)
+        w = _linear_solve(cost_residual_jacobian(g, x).T, Ju_v)
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailure(str(exc)) from exc
     G = w[:, None] * x
@@ -104,34 +103,37 @@ def run_projected_gradient(
     the trial is the next iterate.  The feasible set is convex, so every trial
     is feasible, and the step's one projection serves its whole search.  Trial
     solves start from the equilibrium of C; an unconverged one raises
-    InnerSolveFailure.
+    InnerSolveFailure, and a performance gradient with a NaN or infinite
+    entry raises NonFiniteInput.
 
     Under sufficient decrease the recorded objective never rises, so the last
     iterate is the best.  A run ends unconverged at its last iterate when it
     uses up max_outer_iters or a line search fails after MAX_HALVINGS halvings.
     """
     cfg = cfg or BilevelConfig()
+    rho = _real(rho, "rho")
     dims = g0.dims
-    C = project_feasible(g0.C, dims, rho)
-    game = g0.with_matrix(C)
+    C = _project_feasible(g0.C, dims, rho)
+    game = g0._wrapping(C)
     x = _solve(game, cfg, None, 0)
     value = obj.value(x)
     history: list[tuple[int, float, float]] = []
 
     for iteration in range(1, cfg.max_outer_iters + 1):
-        g = _implicit_gradient(game, x, obj.gradient(x))
+        grad_psi = _array(obj.gradient(x), (dims.total,), "performance gradient")
+        g = _implicit_gradient(game, x, grad_psi)
         Y = cfg.step_alpha * g
         np.subtract(C, Y, out=Y)
-        P = project_feasible(Y, dims, rho)
+        P = _project_feasible(Y, dims, rho)
         D = P - C
-        step_norm = math.sqrt(D.ravel().dot(D.ravel()))
+        step_norm = _norm(D.ravel())
         history.append((iteration, value, step_norm))
         if step_norm <= cfg.stop_eps or iteration == cfg.max_outer_iters:
             break
         slope = ARMIJO_SIGMA * float(np.vdot(g, D))
         C_trial, s = P, 1.0
         for _ in range(MAX_HALVINGS + 1):
-            game_trial = g0.with_matrix(C_trial)
+            game_trial = g0._wrapping(C_trial)
             x_trial = _solve(game_trial, cfg, x, iteration)
             value_trial = obj.value(x_trial)
             if value_trial <= value + s * slope:
@@ -154,7 +156,7 @@ def run_projected_gradient(
 
 
 def _solve(g: Game, cfg: BilevelConfig, warm: np.ndarray | None, iteration: int) -> np.ndarray:
-    outcome = solve_equilibrium(g, cfg.inner, x0=warm)
+    outcome = _solve_equilibrium(g, cfg.inner, warm)
     if not outcome.converged:
         raise InnerSolveFailure(f"equilibrium solve unconverged at outer iteration {iteration} "
                                 f"(residual_sq={outcome.residual_sq:.3e})")

@@ -79,14 +79,19 @@ def _check_lambda(lam) -> None:
 
 def _array(v, shape: tuple[int, ...] | None, what: str, *, finite: bool = True) -> np.ndarray:
     """v as a float array (v itself if it is one) if numpy reads it as one (a string
-    such as "abc", a ragged list or a dict is not), else InvalidInput; if it has
-    `shape` (any shape when None), else DimensionMismatch; and if its entries are
-    finite, else NonFiniteInput.  finite=False leaves the entries to the caller's
-    `_positive` test, which checks finiteness in the same min/max pass as positivity."""
+    such as "abc", a ragged list, a dict or complex entries are not), else
+    InvalidInput; if it has `shape` (any shape when None), else DimensionMismatch;
+    and if its entries are finite, else NonFiniteInput.  finite=False leaves the
+    entries to the caller's `_positive` test, which checks finiteness in the same
+    min/max pass as positivity."""
     try:
-        arr = np.asarray(v, dtype=float)
+        arr = np.asarray(v)  # v itself if it is an array, so the dtype test is O(1)
+        if arr.dtype.kind != "c":  # the float cast would drop the imaginary part
+            arr = np.asarray(arr, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"{what} must hold numbers: {exc}") from exc
+    if arr.dtype.kind == "c":
+        raise InvalidInput(f"{what} must hold numbers: {arr.dtype} entries are not real")
     if shape is not None and arr.shape != shape:
         raise DimensionMismatch(f"{what} has shape {arr.shape}, expected {shape}")
     if finite and not np.isfinite(arr).all():
@@ -221,9 +226,17 @@ class Game:
         dims, lam and the read-only b are shared with this game, which has
         already validated them; only C is copied and checked.
         """
+        return self._wrapping(_frozen_array(C, self.C.shape, "C"))
+
+    def _wrapping(self, C: np.ndarray) -> "Game":
+        """Same game around a read-only view of C, unchecked and uncopied.
+
+        C must be a finite float array of this game's shape that the caller
+        made and no longer writes: the design loops wrap each trial matrix
+        this way, and C itself stays writable for the caller.
+        """
         g = object.__new__(Game)
-        g.__dict__.update(dims=self.dims, lam=self.lam, b=self.b,
-                          C=_frozen_array(C, self.C.shape, "C"))
+        g.__dict__.update(dims=self.dims, lam=self.lam, b=self.b, C=_read_only(C.view()))
         return g
 
 

@@ -20,6 +20,7 @@ and v = c elsewhere, makes every alternative cost c - 1 more.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .game import Game, PlayerDims, PureTarget, _array, _real, _whole, pure_to_strategy
 from .objectives import kl_objective
-from .projections import _project_rank_one, _psd_factor
+from .projections import _norm, _project_rank_one, _psd_factor
 from .results import DesignResult
 from .solver import solve_equilibrium
 
@@ -120,7 +121,9 @@ def _margin_structure(
     dims = g.dims
     cols = np.flatnonzero(pure_to_strategy(t, dims))  # raises IndexOutOfRange on a bad target
     star = np.repeat(cols, [s - 1 for s in dims.sizes])
-    alt = np.setdiff1d(np.arange(dims.total, dtype=np.intp), cols)
+    chosen = np.zeros(dims.total, dtype=bool)
+    chosen[cols] = True
+    alt = np.flatnonzero(~chosen)
     beta = g.b[alt] - g.b[star] - epsilon
     return cols, star, alt, beta
 
@@ -162,10 +165,11 @@ def _dual_min_norm(
         q = _psd_factor(a, t)
         at = a * t
         M_at = _off_block_sum(at, dims)
-        s = 0.25 * float(q @ t) * q + 0.5 * (a * Mt - t * M_at)
-        norm_sq = (0.25 * float(q @ q)) ** 2 + 0.5 * (float((a * a) @ Mt) - float(at @ M_at))
+        s = 0.25 * float(q.dot(t)) * q + 0.5 * (a * Mt - t * M_at)
+        norm_sq = ((0.25 * float(q.dot(q))) ** 2
+                   + 0.5 * (float((a * a).dot(Mt)) - float(at.dot(M_at))))
         grad = beta - (s[star] - s[alt])
-        return a, grad, 0.5 * norm_sq + float(beta @ mu)
+        return a, grad, 0.5 * norm_sq + float(beta.dot(mu))
 
     mu = np.zeros(len(beta))
     a, grad, theta = evaluate(mu)
@@ -174,11 +178,13 @@ def _dual_min_norm(
     # n (I + 11^T) of size m_i - 1 per player.
     alpha = 1.0 / (dims.n * max(dims.sizes))
     iterations = 0
-    while np.linalg.norm(mu - np.maximum(mu - grad, 0.0)) > tol:
+    while not _norm(mu - np.maximum(mu - grad, 0.0)) <= tol:  # NaN never converges
         if iterations == max_iters:
             return _project_rank_one(a, t, dims), grad, iterations, False
         d = np.maximum(mu - alpha * grad, 0.0) - mu
-        slope = ARMIJO_SIGMA * float(d @ grad)
+        slope = ARMIJO_SIGMA * float(d.dot(grad))
+        if not math.isfinite(slope):  # d or grad overflowed: no step can pass the test
+            return _project_rank_one(a, t, dims), grad, iterations, False
         ceiling = max(recent)
         step = 1.0
         while True:
@@ -190,8 +196,8 @@ def _dual_min_norm(
                 break
             step *= ARMIJO_SHRINK
         s_step, y_step = trial - mu, grad_new - grad
-        sy = float(s_step @ y_step)
-        alpha = min(float(s_step @ s_step) / sy, BB_STEP_MAX) if sy > 0 else BB_STEP_MAX
+        sy = float(s_step.dot(y_step))
+        alpha = min(float(s_step.dot(s_step)) / sy, BB_STEP_MAX) if sy > 0 else BB_STEP_MAX
         mu, a, grad = trial, a_new, grad_new
         recent.append(theta_new)
         iterations += 1
@@ -209,9 +215,9 @@ def solve_min_norm_design(
     uniqueness cone, then solves the forward problem for the induced
     equilibrium.  The reported objective value is the divergence of the
     induced equilibrium from the (smoothed) target.  A result with
-    `converged=False` means the dual iteration cap ran out, or the line
-    search could no longer move the multipliers, before the stopping test
-    held.
+    `converged=False` means the dual iteration cap ran out, the line search
+    could no longer move the multipliers, or the dual overflowed (a margin
+    near the edge of double range) before the stopping test held.
     """
     cfg = cfg or MinNormConfig()
     C, grad, iterations, converged = _dual_min_norm(

@@ -69,7 +69,7 @@ def _kl_value(log_t: np.ndarray, x: np.ndarray) -> float:
     x = _require_positive(x, log_t.shape)
     d = np.log(x)
     d -= log_t
-    return float(x @ d)
+    return float(x.dot(d))
 
 
 def _kl_gradient(log_t: np.ndarray, x: np.ndarray) -> np.ndarray:

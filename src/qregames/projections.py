@@ -14,19 +14,34 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import EigendecompositionFailure
 from .game import PlayerDims, _array, _cone_defects, _real
 
 
+def _norm(v: np.ndarray) -> float:
+    """The Euclidean norm of the float vector v (a flat view for a matrix's
+    Frobenius norm): np.linalg.norm's own formula, without its overhead."""
+    return math.sqrt(v.dot(v))
+
+
+def _raise_unconverged(err, flag):
+    raise EigendecompositionFailure("Eigenvalues did not converge")
+
+
 def project_psd(S: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix to a symmetric S: clamp negative eigenvalues."""
-    try:
-        w, V = np.linalg.eigh(S)
-    except np.linalg.LinAlgError as exc:
-        raise EigendecompositionFailure(str(exc)) from exc
+    """Nearest PSD matrix to a symmetric float S: clamp negative eigenvalues.
+
+    The eigendecomposition is np.linalg.eigh(S)'s own LAPACK gufunc under
+    its own error state, without the wrapper's dispatch, as in
+    solver._linear_solve.
+    """
+    with np.errstate(call=_raise_unconverged, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        w, V = _umath_linalg.eigh_lo(S, signature="d->dd")
     np.maximum(w, 0.0, out=w)
-    return (V * w) @ V.T
+    return (V * w).dot(V.T)
 
 
 def _skew_part(X: np.ndarray, dims: PlayerDims) -> np.ndarray:
@@ -46,7 +61,11 @@ def project_cone_sum(C: np.ndarray, dims: PlayerDims) -> np.ndarray:
     Projecting each part independently is therefore exact.  The skew part
     (`_skew_part`) is added into the new PSD matrix, which is returned.
     """
-    C = _array(C, (dims.total, dims.total), "C")
+    return _project_cone_sum(_array(C, (dims.total, dims.total), "C"), dims)
+
+
+def _project_cone_sum(C: np.ndarray, dims: PlayerDims) -> np.ndarray:
+    """project_cone_sum of a finite float m x m array, unchecked."""
     sym = C + C.T
     sym *= 0.5
     P = project_psd(sym)
@@ -60,7 +79,7 @@ def _psd_factor(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     That symmetric matrix has one positive eigenvalue, (|a| |t| + a.t) / 2,
     on the direction a / |a| + t / |t|.
     """
-    norm_a, norm_t = float(np.linalg.norm(a)), float(np.linalg.norm(t))
+    norm_a, norm_t = _norm(a), _norm(t)
     if norm_a == 0.0:
         return np.zeros_like(a)
     return math.sqrt(norm_t / norm_a) * a + math.sqrt(norm_a / norm_t) * t
@@ -82,13 +101,17 @@ def project_feasible(C: np.ndarray, dims: PlayerDims, rho: float) -> np.ndarray:
     ball is centered at the cone's apex.  The cone projection is a new array,
     so the ball's radial rescale runs on it in place, and only when its norm
     exceeds rho (otherwise the factor rho / max(rho, norm) is exactly 1).
-    The norm is the square root of the flat dot product, np.linalg.norm's own
-    formula.
+    The norm is `_norm` of the flat view.
     """
     rho = _real(rho, "rho")  # a double, so the rescale is not rounded to a float32 rho
-    A = project_cone_sum(C, dims)
-    flat = A.ravel()
-    norm = math.sqrt(flat.dot(flat))
+    return _project_feasible(_array(C, (dims.total, dims.total), "C"), dims, rho)
+
+
+def _project_feasible(C: np.ndarray, dims: PlayerDims, rho: float) -> np.ndarray:
+    """project_feasible of a finite float m x m array and a float rho > 0,
+    unchecked: the bilevel loop checks rho once and owns every C it projects."""
+    A = _project_cone_sum(C, dims)
+    norm = _norm(A.ravel())
     if norm > rho:
         A *= rho / norm
     return A

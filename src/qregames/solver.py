@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch, NonFiniteInput, NonPositiveStrategy
 from .game import (
@@ -34,6 +35,24 @@ MAX_BACKTRACKS = 40
 
 # Samples drawn per batch by simulate_gumbel_choice, bounding its memory.
 GUMBEL_CHUNK = 1 << 16
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _linear_solve(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(A, v) for a float m x m A and m-vector v, bit for bit.
+
+    It calls the LAPACK gesv gufunc that np.linalg.solve calls, under the
+    same floating-point error state (a singular A raises LinAlgError), and
+    skips the wrapper's dtype and shape dispatch, half of its time at small m.
+    `numpy.linalg._umath_linalg` is private to numpy; projections.project_psd
+    calls its eigh the same way.
+    """
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _umath_linalg.solve1(A, v, signature="dd->d")
 
 
 @dataclass(frozen=True)
@@ -87,7 +106,9 @@ def blockwise_softmax(u: np.ndarray, dims) -> np.ndarray:
 
 
 def perceived_cost(g: Game, x: np.ndarray) -> np.ndarray:
-    c = g.C @ x
+    # The kernels multiply with ndarray.dot: the same BLAS call as `@`, with
+    # about half of matmul's per-call overhead at m = 12.
+    c = g.C.dot(x)
     c += g.b
     return c
 
@@ -145,7 +166,7 @@ def cost_residual_jacobian(g: Game, x: np.ndarray) -> np.ndarray:
     m = dims.total
     W = np.zeros((m, dims.n))
     W.ravel()[dims._scatter_index] = x  # a view: W is contiguous
-    H = (g.C @ W).repeat(dims._size_array, axis=1)
+    H = g.C.dot(W).repeat(dims._size_array, axis=1)
     np.subtract(g.C, H, out=H)
     H *= x / g.lam
     diagonal = H.ravel()[:: m + 1]  # a view: H is contiguous
@@ -181,37 +202,31 @@ def solve_equilibrium(
     """
     if cfg is None:
         cfg = _DEFAULT_CONFIG
-    dims = g.dims
-    if x0 is None:
-        x = uniform_strategy(dims)
-    else:
-        x = _array(x0, (dims.total,), "x0")
+    if x0 is not None:
+        x0 = _array(x0, (g.dims.total,), "x0")
+    return _solve_equilibrium(g, cfg, x0)
 
-    def at(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        p = blockwise_softmax(y / -g.lam, dims)
-        c = perceived_cost(g, p)
-        R = y - c
-        return p, c, R, float(R @ R)
 
-    def outcome(p: np.ndarray, c: np.ndarray, Rsq: float, iterations: int) -> SolveOutcome:
-        r = p - _response_to_cost(g, c)
-        rsq = float(r @ r)
-        return SolveOutcome(x=p, residual_sq=rsq, iterations=iterations,
-                            converged=max(rsq, Rsq) <= cfg.residual_tol, _game=g)
-
-    y = perceived_cost(g, x)
+def _solve_equilibrium(g: Game, cfg: SolverConfig, x0: np.ndarray | None) -> SolveOutcome:
+    """solve_equilibrium's Gauss-Newton loop, with x0 None or a finite float
+    vector that fits g: the design loops call it on the iterates they own."""
+    dims, lam, tol = g.dims, g.lam, cfg.residual_tol
+    y = perceived_cost(g, uniform_strategy(dims) if x0 is None else x0)
     if not np.isfinite(y).all():
         raise NonFiniteInput("starting cost b + C x0 is not finite")
-    x, c, R, Rsq = at(y)
+    x, c, R, Rsq = _at_cost(g, y)
     for it in range(cfg.max_iters):
-        if Rsq <= cfg.residual_tol:
-            out = outcome(x, c, Rsq, it)
-            if out.converged:
-                return out
+        if Rsq <= tol:
+            # R is finite, so c = y - R is too and the response needs no check
+            r = x - blockwise_softmax(c / -lam, dims)
+            rsq = float(r.dot(r))
+            if rsq <= tol:
+                return SolveOutcome(x=x, residual_sq=rsq, iterations=it, converged=True,
+                                    _game=g)
         try:
-            step = np.linalg.solve(cost_residual_jacobian(g, x), -R)
+            step = _linear_solve(cost_residual_jacobian(g, x), -R)
         except np.linalg.LinAlgError:
-            return outcome(x, c, Rsq, it)
+            return _last_iterate(g, x, c, Rsq, tol, it)
 
         # Armijo backtracking on phi = 0.5 ||R||^2, whose slope along the
         # Gauss-Newton step is R^T H s = -||R||^2; if no trial passes, take
@@ -221,12 +236,31 @@ def solve_equilibrium(
         alpha = 1.0
         for _ in range(MAX_BACKTRACKS):
             y_try = y + alpha * step
-            x_try, c_try, R_try, Rsq_try = at(y_try)
+            x_try, c_try, R_try, Rsq_try = _at_cost(g, y_try)
             if 0.5 * Rsq_try <= phi0 + ARMIJO_C * alpha * slope:
                 break
             alpha *= BACKTRACK_FACTOR
         y, x, c, R, Rsq = y_try, x_try, c_try, R_try, Rsq_try
-    return outcome(x, c, Rsq, cfg.max_iters)
+    return _last_iterate(g, x, c, Rsq, tol, cfg.max_iters)
+
+
+def _at_cost(g: Game, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(x, c, R, ||R||^2) at the cost y: x = f(-y/lam), c = b + C x, R = y - c."""
+    x = blockwise_softmax(y / -g.lam, g.dims)
+    c = perceived_cost(g, x)
+    R = y - c
+    return x, c, R, float(R.dot(R))
+
+
+def _last_iterate(g: Game, x: np.ndarray, c: np.ndarray, Rsq: float, tol: float,
+                  iterations: int) -> SolveOutcome:
+    """The outcome at the iterate where a solve stops outside its convergence
+    test (H singular, or the iteration cap); the perceived cost c may not be
+    finite there, so the response checks it."""
+    r = x - _response_to_cost(g, c)
+    rsq = float(r.dot(r))
+    return SolveOutcome(x=x, residual_sq=rsq, iterations=iterations,
+                        converged=max(rsq, Rsq) <= tol, _game=g)
 
 
 def stationarity_residual(g: Game, x: np.ndarray) -> float:

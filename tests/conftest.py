@@ -5,7 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qregames import Game, PlayerDims, logit_response, uniform_strategy
+from qregames import (
+    Game,
+    PlayerDims,
+    implicit_gradient,
+    logit_response,
+    project_feasible,
+    solve_equilibrium,
+    uniform_strategy,
+)
+from qregames.bilevel import ARMIJO_SIGMA, HALVING, MAX_HALVINGS
 
 
 def random_certified_game(
@@ -53,6 +62,44 @@ def damped_fixed_point(
             return x
         x = (1.0 - tau) * x + tau * f
     raise AssertionError("fixed-point oracle did not converge")
+
+
+def reference_projected_gradient(g0: Game, obj, rho: float, cfg):
+    """The monotone projected gradient loop of `run_projected_gradient`,
+    written with the public, argument-checking functions only: the same
+    floating-point operations in the same order.  Returns (C, x, history)."""
+    dims = g0.dims
+
+    def solved(C, warm):
+        out = solve_equilibrium(g0.with_matrix(C), cfg.inner, x0=warm)
+        assert out.converged
+        return out.x
+
+    C = project_feasible(g0.C, dims, rho)
+    x = solved(C, None)
+    value = obj.value(x)
+    history = []
+    for iteration in range(1, cfg.max_outer_iters + 1):
+        G = implicit_gradient(g0.with_matrix(C), x, obj.gradient(x))
+        P = project_feasible(C - cfg.step_alpha * G, dims, rho)
+        D = P - C
+        step_norm = float(np.linalg.norm(D))
+        history.append((iteration, value, step_norm))
+        if step_norm <= cfg.stop_eps or iteration == cfg.max_outer_iters:
+            break
+        slope = ARMIJO_SIGMA * float(np.vdot(G, D))
+        C_trial, s = P, 1.0
+        for _ in range(MAX_HALVINGS + 1):
+            x_trial = solved(C_trial, x)
+            value_trial = obj.value(x_trial)
+            if value_trial <= value + s * slope:
+                break
+            s *= HALVING
+            C_trial = C + s * D
+        else:
+            break
+        C, x, value = C_trial, x_trial, value_trial
+    return C, x, history
 
 
 def in_cone(C: np.ndarray, dims: PlayerDims, eig_tol: float = 1e-9,

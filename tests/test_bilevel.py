@@ -34,7 +34,11 @@ from qregames.experiments import (
     build_fair_game,
 )
 
-from conftest import random_certified_game, random_interior_strategy
+from conftest import (
+    random_certified_game,
+    random_interior_strategy,
+    reference_projected_gradient,
+)
 
 RESOLVE = SolverConfig(residual_tol=1e-24)  # residual norm ~1e-12 for differencing
 
@@ -139,9 +143,10 @@ class TestImplicitGradient:
 
 
 def stalling_solver(monkeypatch, stalls):
-    """Patch the design loop's equilibrium solve; `stalls(call_index, x0)`
-    picks the calls that report an unconverged outcome.  Returns the list
-    of warm-start flags, one per call."""
+    """Patch the design loop's equilibrium solve, the unchecked kernel it
+    calls; `stalls(call_index, x0)` picks the calls that report an
+    unconverged outcome.  Returns the list of warm-start flags, one per
+    call."""
     warm_flags = []
 
     def solve(g, cfg=None, x0=None):
@@ -153,7 +158,7 @@ def stalling_solver(monkeypatch, stalls):
                                        converged=False)
         return out
 
-    monkeypatch.setattr(qregames.bilevel, "solve_equilibrium", solve)
+    monkeypatch.setattr(qregames.bilevel, "_solve_equilibrium", solve)
     return warm_flags
 
 
@@ -193,17 +198,18 @@ class TestOuterStepWork:
                                                    min_steps):
         # the start and each step's P(C - step_alpha*g) are the only
         # projections, a rejected trial C + s*D adds a solve and no
-        # projection, and every step but the last solves its accepted trial
+        # projection, and every step but the last solves its accepted trial;
+        # the loop calls each through its unchecked kernel, `_` + name
         game, obj = row()
         calls = {"project_feasible": 0, "solve_equilibrium": 0}
 
         def counting(name):
-            fn = getattr(qregames.bilevel, name)
+            fn = getattr(qregames.bilevel, "_" + name)
 
             def counted(*args, **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
-            monkeypatch.setattr(qregames.bilevel, name, counted)
+            monkeypatch.setattr(qregames.bilevel, "_" + name, counted)
 
         counting("project_feasible")
         counting("solve_equilibrium")
@@ -222,17 +228,73 @@ class TestOuterStepWork:
         game, obj = collision_kl()
         rho = 2.0
         trials = []
-        solve = qregames.bilevel.solve_equilibrium
+        solve = qregames.bilevel._solve_equilibrium
 
         def recording(g, *args, **kwargs):
             trials.append(g.C)
             return solve(g, *args, **kwargs)
-        monkeypatch.setattr(qregames.bilevel, "solve_equilibrium", recording)
+        monkeypatch.setattr(qregames.bilevel, "_solve_equilibrium", recording)
         result = run_projected_gradient(game, obj, rho, BilevelConfig(max_outer_iters=80))
         assert len(trials) > result.outer_iterations  # some trials were halved
         for C in trials:
             assert check_assumption(game.with_matrix(C)).passed
             assert in_feasible_set(C, game.dims, rho)
+
+
+class TestKernelLoop:
+    """The loop checks rho and g0 once and then runs the unchecked kernels
+    on arrays it owns; these pin what that may and may not change."""
+
+    @pytest.mark.parametrize("row, rho, max_outer", [
+        (collision_kl, 0.1, 40),  # its first 40 steps
+        (fair_delay, 0.5, BilevelConfig.max_outer_iters),
+        (fair_delay, 1.0, BilevelConfig.max_outer_iters),  # rejects trials
+    ], ids=["collision-0.1", "fair-0.5", "fair-1.0"])
+    def test_matches_the_public_api_loop(self, row, rho, max_outer):
+        game, obj = row()
+        cfg = BilevelConfig(max_outer_iters=max_outer)
+        result = run_projected_gradient(game, obj, rho, cfg)
+        C, x, history = reference_projected_gradient(game, obj, rho, cfg)
+        assert np.array_equal(result.C, C)
+        assert np.array_equal(result.x, x)
+        assert result.history == tuple(history)
+        assert result.outer_iterations == len(history) > 10
+
+    def test_gradient_that_turns_nan_raises_naming_it(self):
+        game, obj = collision_kl()
+        calls = []
+
+        def turning_nan(x):
+            calls.append(x)
+            grad = obj.gradient(x)
+            if len(calls) == 3:
+                grad[1] = np.nan
+            return grad
+
+        nan_at_3 = PerformanceObjective(obj.value, turning_nan, "nan-at-step-3")
+        with pytest.raises(NonFiniteInput, match="performance gradient"):
+            run_projected_gradient(game, nan_at_3, 0.1)
+        assert len(calls) == 3
+
+    def test_unconverged_trial_raises(self):
+        # the collision start C = P(0) = 0 has the closed-form equilibrium, so
+        # the cold solve converges in 0 Gauss-Newton iterations; the first
+        # trial, a long step away, needs more than the one allowed
+        class OneIteration(BilevelConfig):
+            inner = SolverConfig(residual_tol=1e-20, max_iters=1)
+
+        game, obj = collision_kl()
+        with pytest.raises(InnerSolveFailure, match="outer iteration 1 "):
+            run_projected_gradient(game, obj, 10.0, OneIteration(step_alpha=1e3))
+
+    def test_result_matrix_is_writable_and_its_own(self):
+        game, obj = collision_kl()
+        result = run_projected_gradient(game, obj, 0.5, BilevelConfig(max_outer_iters=5))
+        assert result.C.flags.writeable
+        assert not np.shares_memory(result.C, game.C)
+        before = game.C.copy()
+        result.C[0, 0] += 1.0
+        assert np.array_equal(game.C, before)
 
 
 class TestBilevelConfig:

@@ -1,11 +1,15 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qregames
 from qregames import cli, experiments
 from qregames.cli import main
 from qregames.experiments import build_collision_game, build_fair_game
@@ -137,6 +141,20 @@ class TestDesignCommands:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:InvalidInput: smoothing_delta")
         assert len(recwarn) == 0
+
+    def test_design_sdp_overflowing_margin_ends(self, collision_path, tmp_path):
+        # the dual's multipliers overflow at once, and its line search used to
+        # halve a NaN trial forever; a subprocess, so a hang fails the test
+        out = tmp_path / "design.json"
+        src = str(Path(qregames.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qregames.cli", "design-sdp", "--game", collision_path,
+             "--target", "3,3,3,3", "--epsilon", "1e308", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode in (2, 3), proc.stderr
+        if proc.returncode == 3:
+            assert json.loads(out.read_text())["converged"] is False
 
     @pytest.mark.parametrize("target", ["3,3", "3,3,3,3,3", "3,3,3,4"])
     def test_design_sdp_target_must_fit_dims(self, collision_path, target, capsys):

@@ -16,7 +16,7 @@ from qregames import (
     solve_min_norm_design,
 )
 from qregames.experiments import DEFAULT_EPS_GRID, build_collision_game
-from qregames.min_norm import _margin_structure, _project_rank_one
+from qregames.min_norm import _dual_min_norm, _margin_structure, _project_rank_one
 
 from conftest import in_cone
 
@@ -191,6 +191,17 @@ class TestSolveMinNormDesign:
         assert not result.converged
         assert result.outer_iterations == 3
 
+    def test_nan_stopping_measure_is_not_convergence(self):
+        # a NaN projected-gradient norm fails `<= tol`: the dual does not stop
+        # as converged, and its line search exits on the non-finite slope
+        game, target = build_collision_game()
+        cols, star, alt, beta = _margin_structure(game, target, 3.0)
+        beta[0] = np.nan
+        with np.errstate(invalid="ignore"):
+            C, grad, iterations, converged = _dual_min_norm(
+                game.dims, (cols, star, alt, beta), 1e-8, 50)
+        assert not converged and iterations == 0
+
     @pytest.mark.parametrize("epsilon", [-1.0, float("nan"), float("inf")])
     def test_epsilon_must_be_finite_and_nonnegative(self, epsilon):
         with pytest.raises(ValueError):
@@ -323,6 +334,8 @@ class TestClosedFormProjection:
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        # projections.project_psd calls the LAPACK gufunc behind np.linalg.eigh
+        monkeypatch.setattr(np.linalg._umath_linalg, "eigh_lo", refuse)
         for (g, target, eps), ref in zip(self.designs(np.random.default_rng(7)), expected):
             result = solve_min_norm_design(g, target, MinNormConfig(epsilon=eps))
             assert result.converged and np.array_equal(result.C, ref.C)

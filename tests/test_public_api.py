@@ -189,6 +189,10 @@ def _non_numeric(v):
     return np.full(np.shape(v), "abc")
 
 
+def _complex(v):
+    return np.asarray(v, dtype=float) + 1j
+
+
 # (id, call): call(bad) passes bad(valid array) as the one argument under test
 ARRAY_ARGUMENTS = [
     ("Game-b", lambda bad: qregames.Game(DIMS, 1.0, bad(np.zeros(4)), np.eye(4))),
@@ -221,20 +225,22 @@ ARRAY_ARGUMENTS = [
 
 @pytest.mark.parametrize("bad, error", [(_extra_axis, qregames.DimensionMismatch),
                                         (_with_nan, qregames.NonFiniteInput),
-                                        (_non_numeric, qregames.InvalidInput)],
-                         ids=["shape", "nan", "non-numeric"])
+                                        (_non_numeric, qregames.InvalidInput),
+                                        (_complex, qregames.InvalidInput)],
+                         ids=["shape", "nan", "non-numeric", "complex"])
 @pytest.mark.parametrize("call", [c for _, c in ARRAY_ARGUMENTS],
                          ids=[name for name, _ in ARRAY_ARGUMENTS])
 def test_rejected_array_argument(call, bad, error):
     """Every vector and matrix argument is read through one rule: entries
-    that are not numbers are InvalidInput, a wrong shape is
+    that are not real numbers are InvalidInput, a wrong shape is
     DimensionMismatch and a NaN entry NonFiniteInput."""
     with pytest.raises(error):
         call(bad)
 
 
-@pytest.mark.parametrize("v", [[[1.0, 2.0], [3.0]], {"a": 1.0}, [10**400]],
-                         ids=["ragged", "dict", "huge-int"])
+@pytest.mark.parametrize("v", [[[1.0, 2.0], [3.0]], {"a": 1.0}, [10**400],
+                               [np.complex128(1j), 0.0]],
+                         ids=["ragged", "dict", "huge-int", "complex-scalars"])
 def test_array_that_numpy_cannot_read_is_invalid_input(v):
     with pytest.raises(qregames.InvalidInput, match="^b must hold numbers: "):
         qregames.Game(qregames.PlayerDims([2]), 1.0, v, np.eye(2))

@@ -195,6 +195,24 @@ class TestStructuredKernels:
             r = out.x - logit_response(g, out.x)
             assert out.residual_sq == float(r @ r)
 
+    @pytest.mark.parametrize("m", [1, 12, 27, 99])
+    def test_linear_solve_matches_numpy_bit_for_bit(self, rng, m):
+        # the solver and the implicit gradient call LAPACK's gesv through
+        # numpy's gufunc, for H and for the F-ordered view H^T
+        from qregames.solver import _linear_solve
+
+        for _ in range(5):
+            H = rng.normal(size=(m, m)) + m * np.eye(m)
+            v = rng.normal(size=m)
+            assert np.array_equal(_linear_solve(H, v), np.linalg.solve(H, v))
+            assert np.array_equal(_linear_solve(H.T, v), np.linalg.solve(H.T, v))
+
+    def test_linear_solve_of_a_singular_matrix_raises(self):
+        from qregames.solver import _linear_solve
+
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            _linear_solve(np.ones((2, 2)), np.ones(2))
+
     def test_uniform_strategy_is_exact_per_block(self):
         x = uniform_strategy(self.DIMS)
         assert x.shape == (self.DIMS.total,)
