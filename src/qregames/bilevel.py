@@ -126,7 +126,7 @@ def run_projected_gradient(
         np.subtract(C, Y, out=Y)
         P = _project_feasible(Y, dims, rho)
         D = P - C
-        step_norm = _norm(D.ravel())
+        step_norm = _norm(D)
         history.append((iteration, value, step_norm))
         if step_norm <= cfg.stop_eps or iteration == cfg.max_outer_iters:
             break
@@ -148,7 +148,7 @@ def run_projected_gradient(
         C=C,
         x=x,
         objective_value=value,
-        c_norm=float(np.linalg.norm(C)),
+        c_norm=_norm(C),
         outer_iterations=len(history),
         converged=history[-1][2] <= cfg.stop_eps,
         history=tuple(history),

@@ -6,9 +6,10 @@ runs that scenario's sweep from `qregames.experiments`; its flags follow the
 scenario name, and each scenario accepts only the flags it reads.  `--target`
 and `--delta` apply to `design-bilevel --objective kl` only.  Exit codes: 0
 success; 2 malformed input, an output path that cannot be written or an
-unsatisfiable request; 3 solver non-convergence (the artifact is still
-written, flagged converged=false; `experiment` exits 3 when any row is
-unconverged or failed); 1 internal error.  Errors go to stderr with the prefix
+unsatisfiable request, one whose equilibrium underflows to zeros included; 3
+solver non-convergence (the artifact is still written, flagged
+converged=false; `experiment` exits 3 when any row is unconverged or
+failed); 1 internal error.  Errors go to stderr with the prefix
 ``error:<kind>:``.  All numeric output keeps full double precision, and
 identical invocations with the same seed produce byte-identical files.
 """
@@ -33,7 +34,9 @@ from .errors import (
     InvalidInput,
     NonFiniteInput,
     NonPositiveLambda,
+    NonPositiveStrategy,
     QreGamesError,
+    ZeroAreaTotal,
 )
 from .game import (ASSUMPTION_TOL, PlayerDims, PureTarget, _array, _read_json_object, _real,
                    check_assumption, load_game, pure_to_strategy)
@@ -52,6 +55,9 @@ _INPUT_ERRORS = (
     NonFiniteInput,
     InvalidGeometry,
     InfeasibleDetected,
+    # an equilibrium that underflowed to zeros: the request cannot be met in double precision
+    NonPositiveStrategy,
+    ZeroAreaTotal,
 )
 
 

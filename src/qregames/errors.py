@@ -10,7 +10,8 @@ class DimensionMismatch(QreGamesError):
 
 
 class NonPositiveLambda(QreGamesError):
-    """The noise temperature must be finite and > 0."""
+    """The noise temperature must be finite and > 0, and large enough that
+    every cost over it is finite."""
 
 
 class IndexOutOfRange(QreGamesError):

@@ -113,7 +113,7 @@ class PlayerDims:
     """Actions per player, with block offsets and index arrays computed once.
 
     The block structure the kernels read (index arrays, the same-block mask
-    and the off-block multiplier) is computed on first use and kept,
+    and the off-block mask) is computed on first use and kept,
     read-only; it depends on the sizes alone.
     """
 
@@ -166,9 +166,9 @@ class PlayerDims:
         return _read_only(self.owner[:, None] == self.owner[None, :])
 
     @cached_property
-    def _off_block_half(self) -> np.ndarray:
-        """m x m multiplier: 0 on the diagonal blocks, 0.5 off them (read-only)."""
-        return _read_only(np.where(self._same_block, 0.0, 0.5))
+    def _off_block(self) -> np.ndarray:
+        """m x m float mask: 0 on the diagonal blocks, 1 off them (read-only)."""
+        return _read_only(np.where(self._same_block, 0.0, 1.0))
 
     def block(self, i: int) -> slice:
         off = self.offsets
@@ -195,13 +195,23 @@ def _frozen_array(a, shape, what: str) -> np.ndarray:
     return _read_only(np.array(_array(a, shape, what)))
 
 
+def _check_cost_scale(dims: PlayerDims, lam: float, b: np.ndarray, C: np.ndarray) -> None:
+    """Raise NonPositiveLambda unless (max|b| + n max|C|)/lam is finite: it bounds
+    |b + C x|/lam for every joint strategy x, whose blocks each sum to one."""
+    c_max = max(float(C.max()), -float(C.min()))  # no m x m temporary
+    if not math.isfinite(float(np.abs(b).max()) / lam + dims.n * (c_max / lam)):
+        raise NonPositiveLambda(f"lambda {lam!r} is too small for this game's costs: "
+                                f"(max|b| + n max|C|)/lambda is not finite")
+
+
 @dataclass(frozen=True, eq=False)
 class Game:
     """One problem instance: dimensions, noise temperature, and cost data.
 
     Valid and immutable once constructed: 0 < lam < inf, b and C fit dims,
-    and the arrays are copied and marked read-only so instances can be
-    shared freely between threads.
+    every cost over lam is finite (`_check_cost_scale`), and the arrays are
+    copied and marked read-only so instances can be shared freely between
+    threads.
     """
 
     dims: PlayerDims
@@ -212,10 +222,12 @@ class Game:
     def __init__(self, dims: PlayerDims, lam: float, b, C):
         _check_lambda(lam)
         m = dims.total
+        lam, b, C = float(lam), _frozen_array(b, (m,), "b"), _frozen_array(C, (m, m), "C")
+        _check_cost_scale(dims, lam, b, C)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "lam", float(lam))
-        object.__setattr__(self, "b", _frozen_array(b, (m,), "b"))
-        object.__setattr__(self, "C", _frozen_array(C, (m, m), "C"))
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "C", C)
 
     def __reduce__(self):  # through __init__, so an unpickled copy stays read-only
         return Game, (self.dims, self.lam, self.b, self.C)
@@ -224,9 +236,11 @@ class Game:
         """Same game with a different cost matrix.
 
         dims, lam and the read-only b are shared with this game, which has
-        already validated them; only C is copied and checked.
+        already validated them; only C is copied and checked, with lam.
         """
-        return self._wrapping(_frozen_array(C, self.C.shape, "C"))
+        C = _frozen_array(C, self.C.shape, "C")
+        _check_cost_scale(self.dims, self.lam, self.b, C)
+        return self._wrapping(C)
 
     def _wrapping(self, C: np.ndarray) -> "Game":
         """Same game around a read-only view of C, unchecked and uncopied.
@@ -275,17 +289,33 @@ def validate_game(g: Game) -> None:
     _check_lambda(g.lam)
 
 
+def _halves(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(C/2 + C^T/2, C/2 - C^T/2), the symmetric and skew halves of the float
+    square array C, as new arrays.  Halving first keeps both finite for every
+    finite C; halving is exact above the subnormal range, so they equal
+    (C + C^T)/2 and (C - C^T)/2 to the bit there."""
+    half = 0.5 * C
+    return half + half.T, half - half.T
+
+
 def _cone_defects(C: np.ndarray, dims: PlayerDims) -> tuple[float, float]:
     """(smallest eigenvalue of C + C^T, largest Frobenius norm of a diagonal
-    block of C - C^T), the two numbers the uniqueness cone bounds."""
+    block of C - C^T), the two numbers the uniqueness cone bounds, read from
+    `_halves` and doubled.  NonFiniteInput when either leaves double range."""
+    sym, skew = _halves(C)
     try:
-        min_eig = float(np.linalg.eigvalsh(C + C.T)[0])
+        min_eig = 2.0 * float(np.linalg.eigvalsh(sym)[0])
     except np.linalg.LinAlgError as exc:
         raise EigendecompositionFailure(str(exc)) from exc
-    sq = C - C.T
-    sq *= sq
-    blocks = np.add.reduceat(np.add.reduceat(sq, dims.starts, axis=0), dims.starts, axis=1)
-    return min_eig, float(np.sqrt(blocks.diagonal().max()))
+    with np.errstate(over="ignore"):  # an infinite square is rejected below
+        skew *= skew
+    blocks = np.add.reduceat(np.add.reduceat(skew, dims.starts, axis=0), dims.starts, axis=1)
+    asym = 2.0 * math.sqrt(blocks.diagonal().max())
+    if not (math.isfinite(min_eig) and math.isfinite(asym)):
+        raise NonFiniteInput(f"C + C^T leaves double range: its smallest eigenvalue is "
+                             f"{min_eig!r}, and the largest diagonal-block norm of C - C^T "
+                             f"is {asym!r}")
+    return min_eig, asym
 
 
 def check_assumption(g: Game, tol: float = ASSUMPTION_TOL) -> AssumptionReport:

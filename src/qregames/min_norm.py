@@ -182,7 +182,7 @@ def _dual_min_norm(
         if iterations == max_iters:
             return _project_rank_one(a, t, dims), grad, iterations, False
         d = np.maximum(mu - alpha * grad, 0.0) - mu
-        slope = ARMIJO_SIGMA * float(d.dot(grad))
+        slope = ARMIJO_SIGMA * float(np.vdot(d, grad))  # vdot: no overflow warning
         if not math.isfinite(slope):  # d or grad overflowed: no step can pass the test
             return _project_rank_one(a, t, dims), grad, iterations, False
         ceiling = max(recent)
@@ -231,7 +231,7 @@ def solve_min_norm_design(
         C=C,
         x=outcome.x,
         objective_value=divergence,
-        c_norm=float(np.linalg.norm(C)),
+        c_norm=_norm(C),
         outer_iterations=iterations,
         converged=converged and outcome.converged,
         max_violation=max(0.0, -float(grad.min(initial=np.inf))),

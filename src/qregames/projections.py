@@ -17,13 +17,24 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import EigendecompositionFailure
-from .game import PlayerDims, _array, _cone_defects, _real
+from .game import PlayerDims, _array, _cone_defects, _halves, _real
 
 
 def _norm(v: np.ndarray) -> float:
-    """The Euclidean norm of the float vector v (a flat view for a matrix's
-    Frobenius norm): np.linalg.norm's own formula, without its overhead."""
-    return math.sqrt(v.dot(v))
+    """The Euclidean norm of the float array v read flat, so a matrix's Frobenius
+    norm: np.linalg.norm's own formula, without its overhead.  np.vdot runs the
+    same ddot as ndarray.dot, but warns on no overflow; only when the sum of
+    squares is not finite is v rescaled by its largest entry (as in Blue, ACM
+    TOMS 4(1), 1978), so a finite v has a finite norm unless the norm itself
+    exceeds double range."""
+    sq = float(np.vdot(v, v))
+    if math.isfinite(sq):
+        return math.sqrt(sq)
+    scale = float(np.abs(v).max())
+    if not math.isfinite(scale):  # v holds an infinity or a NaN, and so does its norm
+        return scale
+    v = v / scale
+    return scale * math.sqrt(np.vdot(v, v))
 
 
 def _raise_unconverged(err, flag):
@@ -44,32 +55,24 @@ def project_psd(S: np.ndarray) -> np.ndarray:
     return (V * w).dot(V.T)
 
 
-def _skew_part(X: np.ndarray, dims: PlayerDims) -> np.ndarray:
-    """The cone projection of X's skew part, as a new array: (X - X^T) times
-    dims._off_block_half, which halves it off the diagonal blocks and zeroes
-    it on them."""
-    skew = X - X.T
-    skew *= dims._off_block_half
-    return skew
-
-
 def project_cone_sum(C: np.ndarray, dims: PlayerDims) -> np.ndarray:
     """Project onto {C : C + C^T >= 0, diagonal blocks symmetric}.
 
     The set is the direct sum of two orthogonal cones: PSD symmetric
     matrices, and skew matrices with (necessarily zero) diagonal blocks.
-    Projecting each part independently is therefore exact.  The skew part
-    (`_skew_part`) is added into the new PSD matrix, which is returned.
+    Projecting each part independently is therefore exact.  Both parts are
+    read from `_halves`; the skew half, zeroed on the diagonal blocks by
+    dims._off_block, is added into the new PSD matrix, which is returned.
     """
     return _project_cone_sum(_array(C, (dims.total, dims.total), "C"), dims)
 
 
 def _project_cone_sum(C: np.ndarray, dims: PlayerDims) -> np.ndarray:
     """project_cone_sum of a finite float m x m array, unchecked."""
-    sym = C + C.T
-    sym *= 0.5
+    sym, skew = _halves(C)
     P = project_psd(sym)
-    P += _skew_part(C, dims)
+    skew *= dims._off_block
+    P += skew
     return P
 
 
@@ -87,8 +90,9 @@ def _psd_factor(a: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _project_rank_one(a: np.ndarray, t: np.ndarray, dims: PlayerDims) -> np.ndarray:
     """project_cone_sum(outer(a, t)) in closed form: the PSD part is
-    q q^T / 4 (`_psd_factor`), plus the skew part."""
-    C = _skew_part(np.outer(a, t), dims)
+    q q^T / 4 (`_psd_factor`), plus the skew half off the diagonal blocks."""
+    _, C = _halves(np.outer(a, t))
+    C *= dims._off_block
     q = _psd_factor(a, t)
     C += 0.25 * np.outer(q, q)
     return C
@@ -101,7 +105,7 @@ def project_feasible(C: np.ndarray, dims: PlayerDims, rho: float) -> np.ndarray:
     ball is centered at the cone's apex.  The cone projection is a new array,
     so the ball's radial rescale runs on it in place, and only when its norm
     exceeds rho (otherwise the factor rho / max(rho, norm) is exactly 1).
-    The norm is `_norm` of the flat view.
+    The norm is `_norm`'s, which rescales where the sum of squares overflows.
     """
     rho = _real(rho, "rho")  # a double, so the rescale is not rounded to a float32 rho
     return _project_feasible(_array(C, (dims.total, dims.total), "C"), dims, rho)
@@ -111,7 +115,7 @@ def _project_feasible(C: np.ndarray, dims: PlayerDims, rho: float) -> np.ndarray
     """project_feasible of a finite float m x m array and a float rho > 0,
     unchecked: the bilevel loop checks rho once and owns every C it projects."""
     A = _project_cone_sum(C, dims)
-    norm = _norm(A.ravel())
+    norm = _norm(A)
     if norm > rho:
         A *= rho / norm
     return A
@@ -125,11 +129,13 @@ def in_feasible_set(
     ball_tol: float = 1e-9,
     block_tol: float = 1e-10,
 ) -> bool:
-    """Membership test used by diagnostics and tests; eig_tol bounds (C + C^T)/2."""
+    """Membership test used by diagnostics and tests; eig_tol bounds (C + C^T)/2.
+    A C whose certificate numbers leave double range raises NonFiniteInput, as
+    check_assumption does."""
     rho = _real(rho, "rho")
     for tol, name in ((eig_tol, "eig_tol"), (ball_tol, "ball_tol"), (block_tol, "block_tol")):
         _real(tol, name, strict=False)
     C = _array(C, (dims.total, dims.total), "C")
     min_eig, asym = _cone_defects(C, dims)
     return bool(0.5 * min_eig >= -eig_tol and asym <= block_tol
-                and np.linalg.norm(C) <= rho + ball_tol)
+                and _norm(C) <= rho + ball_tol)

@@ -142,20 +142,6 @@ class TestDesignCommands:
         assert capsys.readouterr().err.startswith("error:InvalidInput: smoothing_delta")
         assert len(recwarn) == 0
 
-    def test_design_sdp_overflowing_margin_ends(self, collision_path, tmp_path):
-        # the dual's multipliers overflow at once, and its line search used to
-        # halve a NaN trial forever; a subprocess, so a hang fails the test
-        out = tmp_path / "design.json"
-        src = str(Path(qregames.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "qregames.cli", "design-sdp", "--game", collision_path,
-             "--target", "3,3,3,3", "--epsilon", "1e308", "--out", str(out)],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode in (2, 3), proc.stderr
-        if proc.returncode == 3:
-            assert json.loads(out.read_text())["converged"] is False
-
     @pytest.mark.parametrize("target", ["3,3", "3,3,3,3,3", "3,3,3,4"])
     def test_design_sdp_target_must_fit_dims(self, collision_path, target, capsys):
         assert main(["design-sdp", "--game", collision_path, "--target", target]) == 2
@@ -506,3 +492,73 @@ class TestDeterminismAndErrors:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+def _coupling_game(lam):
+    """PlayerDims([2, 2]) with C[0, 2] = C[2, 0] = 1e308: C + C^T leaves double range."""
+    C = [[0.0] * 4 for _ in range(4)]
+    C[0][2] = C[2][0] = 1e308
+    return {"lambda": lam, "dims": [2, 2], "b": [0.0] * 4, "C": C}
+
+
+EDGE_GAMES = {
+    "EYE": {"lambda": 10.0, "dims": [2], "b": [0.0, 0.0], "C": [[1e308, 0.0], [0.0, 1e308]]},
+    "COUPLING_0.1": _coupling_game(0.1),
+    "COUPLING_10": _coupling_game(10.0),
+}
+
+BILEVEL_KL = ["--objective", "kl", "--target", "3,3,3,3", "--rho", "1"]
+POTENTIAL_DELAY = ["--objective", "potential-delay", "--rho", "1"]
+
+
+class TestEdgeOfDoubleRange:
+    """Finite inputs at the edge of double range: each command ends before its
+    timeout, exits 0, 2 or 3 with a typed error, never 1, and prints no numpy
+    warning.  A subprocess, so a hang fails the row and stderr is the CLI's own
+    (`design-sdp --epsilon 1e308` used to halve a NaN line-search trial forever)."""
+
+    @pytest.mark.parametrize("argv, code, kind", [
+        (["check", "--game", "EYE"], 2, "NonFiniteInput"),
+        (["solve", "--game", "COLLISION", "--lambda", "1e-320"], 2, "NonPositiveLambda"),
+        (["solve", "--game", "COLLISION", "--lambda", "5e-324"], 2, "NonPositiveLambda"),
+        (["design-sdp", "--game", "COLLISION", "--target", "3,3,3,3", "--epsilon", "1e30"],
+         2, "NonPositiveStrategy"),
+        (["design-sdp", "--game", "COLLISION", "--target", "3,3,3,3", "--epsilon", "1e308"],
+         3, None),
+        (["design-bilevel", "--game", "COLLISION", *BILEVEL_KL, "--lambda", "1e-5"],
+         2, "NonPositiveStrategy"),
+        (["design-bilevel", "--game", "FAIR", *POTENTIAL_DELAY, "--lambda", "1e-5"],
+         2, "ZeroAreaTotal"),
+        (["check", "--game", "COUPLING_0.1"], 2, "NonPositiveLambda"),
+        (["check", "--game", "COUPLING_10"], 2, "NonFiniteInput"),
+        (["design-bilevel", "--game", "COUPLING_0.1", *POTENTIAL_DELAY], 2, "NonPositiveLambda"),
+        (["design-bilevel", "--game", "COUPLING_10", *POTENTIAL_DELAY], 3, None),
+        (["check", "--game", "HUGE_INT"], 2, "InvalidInput"),
+    ], ids=["check-C-1e308", "solve-lambda-1e-320", "solve-lambda-5e-324",
+            "design-sdp-epsilon-1e30", "design-sdp-epsilon-1e308",
+            "design-bilevel-kl-lambda-1e-5", "design-bilevel-fair-lambda-1e-5",
+            "check-coupling-lambda-0.1", "check-coupling-lambda-10",
+            "design-bilevel-coupling-lambda-0.1", "design-bilevel-coupling-lambda-10",
+            "check-integer-beyond-float"])
+    def test_ends_typed_without_warnings(self, argv, code, kind, collision_path, fair_path,
+                                         tmp_path):
+        paths = {"COLLISION": collision_path, "FAIR": fair_path}
+        for name, game in EDGE_GAMES.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(game))
+        paths["HUGE_INT"] = tmp_path / "huge_int.json"
+        paths["HUGE_INT"].write_text(
+            '{"lambda": 1, "dims": [2], "b": [0, 0], "C": [[1' + "0" * 400 + ", 0], [0, 1]]}")
+        out = tmp_path / "out.json"
+        src = str(Path(qregames.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qregames.cli", *(str(paths.get(a, a)) for a in argv),
+             "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Warning" not in proc.stderr
+        if kind is None:
+            assert proc.stderr == "" and json.loads(out.read_text())["converged"] is False
+        else:
+            assert proc.stderr.startswith(f"error:{kind}:")

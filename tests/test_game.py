@@ -85,6 +85,18 @@ class TestConstructorsReject:
         with pytest.raises(NonFiniteInput):
             make_game(sizes=(2, 2), b=b, C=C)
 
+    def test_lambda_too_small_for_the_costs(self):
+        # (max|b| + n max|C|)/lambda = 2e308/lambda: finite at 10, not at 0.1
+        C = np.zeros((4, 4))
+        C[0, 2] = C[2, 0] = 1e308
+        assert make_game(sizes=(2, 2), lam=10.0, C=C).lam == 10.0
+        with pytest.raises(NonPositiveLambda, match="lambda 0.1 is too small"):
+            make_game(sizes=(2, 2), lam=0.1, C=C)
+        with pytest.raises(NonPositiveLambda, match="lambda 5e-324 is too small"):
+            make_game(sizes=(2, 2), lam=5e-324, b=np.array([0.0, 1.0, 0.0, 0.0]))
+        with pytest.raises(NonPositiveLambda, match="lambda 0.1 is too small"):
+            make_game(sizes=(2, 2), lam=0.1).with_matrix(C)
+
     def test_constructed_game_passes_validation(self):
         g = make_game(lam=np.float64(0.25))
         validate_game(g)
@@ -137,6 +149,22 @@ class TestCheckAssumption:
             )
             assert rep.diag_block_asymmetry == pytest.approx(asym, rel=1e-14, abs=1e-300)
             assert rep.lambda_ok
+
+    def test_doubled_numbers_beyond_double_range_raise(self):
+        # C + C^T = 2e308 I: its eigenvalue is not a double
+        with pytest.raises(NonFiniteInput, match=r"C \+ C\^T leaves double range"):
+            check_assumption(make_game(sizes=(2,), lam=10.0, C=1e308 * np.eye(2)))
+        C = np.zeros((4, 4))
+        C[0, 1] = 1e308  # a diagonal block's asymmetry squared overflows
+        with pytest.raises(NonFiniteInput, match=r"C \+ C\^T leaves double range"):
+            check_assumption(make_game(sizes=(2, 2), lam=10.0, C=C))
+
+    def test_skew_coupling_near_double_max_passes(self):
+        # C - C^T overflows off the diagonal blocks, which the certificate never reads
+        C = np.zeros((4, 4))
+        C[0, 2], C[2, 0] = 1e308, -1e308
+        rep = check_assumption(make_game(sizes=(2, 2), lam=10.0, C=C))
+        assert rep.passed and rep.min_eig_sym == 0.0 and rep.diag_block_asymmetry == 0.0
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
     def test_rejects_bad_tol(self, tol):
@@ -220,13 +248,13 @@ class TestBlocks:
         dims = PlayerDims(sizes)
         m, n, owner = dims.total, dims.n, dims.owner
         same = owner[:, None] == owner[None, :]
-        cached = (dims._same_block, dims._off_block_half, dims._scatter_index, dims._size_array)
+        cached = (dims._same_block, dims._off_block, dims._scatter_index, dims._size_array)
         copy = pickle.loads(pickle.dumps(dims))  # pickled after the arrays were cached
-        rebuilt = (copy._same_block, copy._off_block_half, copy._scatter_index, copy._size_array)
+        rebuilt = (copy._same_block, copy._off_block, copy._scatter_index, copy._size_array)
         for arrays in (cached, rebuilt):
-            same_block, off_block_half, scatter_index, size_array = arrays
+            same_block, off_block, scatter_index, size_array = arrays
             assert np.array_equal(same_block, same)
-            assert np.array_equal(off_block_half, np.where(same, 0.0, 0.5))
+            assert np.array_equal(off_block, np.where(same, 0.0, 1.0))
             W = np.zeros((m, n))
             W.ravel()[scatter_index] = 1.0
             assert np.array_equal(W, np.eye(n)[owner])

@@ -1,14 +1,21 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from qregames import (
     DimensionMismatch,
+    Game,
     NonFiniteInput,
     PlayerDims,
+    check_assumption,
     in_feasible_set,
     project_cone_sum,
     project_feasible,
 )
+from qregames.game import _halves
+from qregames.projections import _norm
 
 from conftest import in_cone, sample_feasible_matrices
 
@@ -19,6 +26,55 @@ def textbook_cone_sum(C, dims):
     skew = 0.5 * (C - C.T)
     skew[dims.owner[:, None] == dims.owner[None, :]] = 0.0
     return (V * np.maximum(w, 0.0)) @ V.T + skew
+
+
+def textbook_asymmetry(C, dims):
+    """The largest Frobenius norm of a diagonal block of C - C^T, as written out."""
+    sq = (C - C.T) ** 2
+    blocks = np.add.reduceat(np.add.reduceat(sq, dims.starts, axis=0), dims.starts, axis=1)
+    return float(np.sqrt(blocks.diagonal().max()))
+
+
+class TestHalvesAndNorm:
+    @pytest.mark.parametrize("scale", [1e-5, 1e-3, 1e-1, 1.0, 1e1, 1e3, 1e5])
+    def test_match_the_textbook_bit_for_bit(self, rng, scale):
+        dims = PlayerDims([1, 4, 2, 7])
+        m = dims.total
+        for _ in range(20):
+            C = scale * rng.normal(size=(m, m))
+            sym, skew = _halves(C)
+            assert np.array_equal(sym, (C + C.T) / 2)
+            assert np.array_equal(skew, (C - C.T) / 2)
+            assert np.array_equal(np.signbit(skew), np.signbit((C - C.T) / 2))
+            assert np.array_equal(project_cone_sum(C, dims), textbook_cone_sum(C, dims))
+            rep = check_assumption(Game(dims, 1.0, np.zeros(m), C))
+            assert rep.min_eig_sym == float(np.linalg.eigvalsh(C + C.T)[0])
+            assert rep.diag_block_asymmetry == textbook_asymmetry(C, dims)
+            assert _norm(C) == np.linalg.norm(C)
+            assert _norm(C[3]) == np.linalg.norm(C[3])
+
+    def test_norm_of_non_finite_and_empty_arrays(self):
+        assert _norm(np.array([1.0, np.inf, -1e308])) == math.inf
+        assert math.isnan(_norm(np.array([np.inf, np.nan, 1e308])))
+        assert _norm(np.zeros(0)) == 0.0
+
+    @pytest.mark.parametrize("signs", list(itertools.product([1.0, -1.0], repeat=3)))
+    def test_entries_near_double_max(self, signs):
+        # C + C^T or C - C^T overflows at the coupling pair, whatever the signs,
+        # but C itself, its cone projection and their norms are finite, with no
+        # numpy warning (the suite's pytest settings make warnings errors)
+        dims = PlayerDims([2, 2])
+        C = np.zeros((4, 4))
+        C[0, 2], C[2, 0], C[1, 0] = (s * 1e308 for s in signs)
+        norm = _norm(C)
+        assert norm == pytest.approx(math.sqrt(3.0) * 1e308, rel=1e-15)
+        P = project_cone_sum(C, dims)
+        assert np.isfinite(P).all()
+        assert _norm(P) <= norm * (1.0 + 1e-12)  # the cone's apex is 0: nonexpansive
+        assert in_cone(P * 2.0 ** -1020, dims)  # the cone is scale-invariant
+        F = project_feasible(C, dims, 1.0)  # the ball rescales by rho/norm, not rho/inf
+        assert _norm(F) == pytest.approx(1.0, rel=1e-12)
+        assert in_feasible_set(F, dims, 1.0)
 
 
 @pytest.mark.parametrize("project", [

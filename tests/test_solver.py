@@ -72,10 +72,11 @@ class TestLogitResponse:
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_nonfinite_cost_raises(self):
-        # b and C are finite, as a Game's always are, but b + C x overflows
-        g = single_player_game([1e308, 0.0], C=np.array([[1e308, 1e308], [0.0, 0.0]]))
+        # b and C are finite and bound every strategy's cost over lambda, as a
+        # Game's always do, but x is no strategy and b + C x overflows
+        g = single_player_game([1e308, 0.0], C=np.array([[1e308, 1e308], [0.0, 0.0]]), lam=10.0)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteInput):
-            logit_response(g, uniform_strategy(g.dims))
+            logit_response(g, np.array([1.0, 1.0]))
 
 
 class TestResponseJacobian:
