@@ -15,12 +15,12 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DecompositionFailure, InnerSolveFailure
-from .game import Game, _array, _real, _whole
+from .errors import InnerSolveFailure
+from .game import Game, _array, _linear_solve, _real, _whole
 from .objectives import PerformanceObjective
 from .projections import _norm, _project_feasible
 from .results import DesignResult
-from .solver import SolverConfig, _linear_solve, _solve_equilibrium, cost_residual_jacobian
+from .solver import SolverConfig, _solve_equilibrium, cost_residual_jacobian
 
 # The outer loop needs equilibria resolved well below its own stopping
 # tolerance, otherwise solver noise masks the gradient near stationarity.
@@ -76,10 +76,7 @@ def _implicit_gradient(g: Game, x: np.ndarray, grad_psi_x: np.ndarray) -> np.nda
     Ju_v = np.add.reduceat(x * grad_psi_x, dims.starts)[dims.owner]  # x_i^T v_i per block
     np.subtract(grad_psi_x, Ju_v, out=Ju_v)
     Ju_v *= x
-    try:
-        w = _linear_solve(cost_residual_jacobian(g, x).T, Ju_v)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionFailure(str(exc)) from exc
+    w = _linear_solve(cost_residual_jacobian(g, x).T, Ju_v)
     G = w[:, None] * x
     G *= -1.0 / g.lam
     return G

@@ -26,8 +26,10 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
+    DecompositionFailure,
     DimensionMismatch,
     EigendecompositionFailure,
     IndexOutOfRange,
@@ -112,9 +114,8 @@ def _positive(v: np.ndarray, what: str, error: type[Exception], message: str) ->
 class PlayerDims:
     """Actions per player, with block offsets and index arrays computed once.
 
-    The block structure the kernels read (index arrays, the same-block mask
-    and the off-block mask) is computed on first use and kept,
-    read-only; it depends on the sizes alone.
+    The index arrays and the off-block mask that the kernels read are computed
+    on first use and kept, read-only; they depend on the sizes alone.
     """
 
     sizes: tuple[int, ...]
@@ -161,14 +162,9 @@ class PlayerDims:
         return _read_only(np.arange(self.total, dtype=np.intp) * self.n + self.owner)
 
     @cached_property
-    def _same_block(self) -> np.ndarray:
-        """m x m mask, True where row and column belong to one player (read-only)."""
-        return _read_only(self.owner[:, None] == self.owner[None, :])
-
-    @cached_property
     def _off_block(self) -> np.ndarray:
         """m x m float mask: 0 on the diagonal blocks, 1 off them (read-only)."""
-        return _read_only(np.where(self._same_block, 0.0, 1.0))
+        return _read_only(np.where(self.owner[:, None] == self.owner, 0.0, 1.0))
 
     def block(self, i: int) -> slice:
         off = self.offsets
@@ -289,6 +285,44 @@ def validate_game(g: Game) -> None:
     _check_lambda(g.lam)
 
 
+# The library's only LAPACK calls.  Each runs the gufunc that np.linalg's solve, eigh or
+# eigvalsh runs, from numpy's private `numpy.linalg._umath_linalg` (a numpy release that
+# renames it breaks this module alone), under that wrapper's error state, so its results
+# are bit-identical; where the wrapper raises LinAlgError, its callback raises the
+# library's typed error with the same message.
+_LAPACK_ERRSTATE = {"invalid": "call", "over": "ignore", "divide": "ignore", "under": "ignore"}
+
+
+def _singular(err, flag):
+    raise DecompositionFailure("Singular matrix")
+
+
+def _unconverged(err, flag):
+    raise EigendecompositionFailure("Eigenvalues did not converge")
+
+
+def _linear_solve(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(A, v) for a float m x m A and m-vector v, by `_umath_linalg.solve1`
+    (LAPACK gesv); a singular A raises DecompositionFailure("Singular matrix")."""
+    with np.errstate(call=_singular, **_LAPACK_ERRSTATE):
+        return _umath_linalg.solve1(A, v, signature="dd->d")
+
+
+def _eigh(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(S) for a symmetric float S, by `_umath_linalg.eigh_lo` (LAPACK syevd
+    on the lower triangle); no convergence raises EigendecompositionFailure("Eigenvalues
+    did not converge")."""
+    with np.errstate(call=_unconverged, **_LAPACK_ERRSTATE):
+        return _umath_linalg.eigh_lo(S, signature="d->dd")
+
+
+def _eigvalsh(S: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh(S), ascending, by `_umath_linalg.eigvalsh_lo`; no convergence
+    raises EigendecompositionFailure, as in `_eigh`."""
+    with np.errstate(call=_unconverged, **_LAPACK_ERRSTATE):
+        return _umath_linalg.eigvalsh_lo(S, signature="d->d")
+
+
 def _halves(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(C/2 + C^T/2, C/2 - C^T/2), the symmetric and skew halves of the float
     square array C, as new arrays.  Halving first keeps both finite for every
@@ -303,10 +337,7 @@ def _cone_defects(C: np.ndarray, dims: PlayerDims) -> tuple[float, float]:
     block of C - C^T), the two numbers the uniqueness cone bounds, read from
     `_halves` and doubled.  NonFiniteInput when either leaves double range."""
     sym, skew = _halves(C)
-    try:
-        min_eig = 2.0 * float(np.linalg.eigvalsh(sym)[0])
-    except np.linalg.LinAlgError as exc:
-        raise EigendecompositionFailure(str(exc)) from exc
+    min_eig = 2.0 * float(_eigvalsh(sym)[0])
     with np.errstate(over="ignore"):  # an infinite square is rejected below
         skew *= skew
     blocks = np.add.reduceat(np.add.reduceat(skew, dims.starts, axis=0), dims.starts, axis=1)

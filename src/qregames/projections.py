@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
-from .errors import EigendecompositionFailure
-from .game import PlayerDims, _array, _cone_defects, _halves, _real
+from .game import PlayerDims, _array, _cone_defects, _eigh, _halves, _real
+
+_SHRINK = 2.0 ** -600  # exact, and brings every finite C's cone projection into range
 
 
 def _norm(v: np.ndarray) -> float:
@@ -37,24 +37,6 @@ def _norm(v: np.ndarray) -> float:
     return scale * math.sqrt(np.vdot(v, v))
 
 
-def _raise_unconverged(err, flag):
-    raise EigendecompositionFailure("Eigenvalues did not converge")
-
-
-def project_psd(S: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix to a symmetric float S: clamp negative eigenvalues.
-
-    The eigendecomposition is np.linalg.eigh(S)'s own LAPACK gufunc under
-    its own error state, without the wrapper's dispatch, as in
-    solver._linear_solve.
-    """
-    with np.errstate(call=_raise_unconverged, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
-        w, V = _umath_linalg.eigh_lo(S, signature="d->dd")
-    np.maximum(w, 0.0, out=w)
-    return (V * w).dot(V.T)
-
-
 def project_cone_sum(C: np.ndarray, dims: PlayerDims) -> np.ndarray:
     """Project onto {C : C + C^T >= 0, diagonal blocks symmetric}.
 
@@ -63,14 +45,21 @@ def project_cone_sum(C: np.ndarray, dims: PlayerDims) -> np.ndarray:
     Projecting each part independently is therefore exact.  Both parts are
     read from `_halves`; the skew half, zeroed on the diagonal blocks by
     dims._off_block, is added into the new PSD matrix, which is returned.
+    Where that overflows, C scaled by `_SHRINK` is projected and scaled back:
+    the projection is positively homogeneous.
     """
-    return _project_cone_sum(_array(C, (dims.total, dims.total), "C"), dims)
+    C = _array(C, (dims.total, dims.total), "C")
+    P = _project_cone_sum(C, dims)
+    return P if np.isfinite(P).all() else _project_cone_sum(C * _SHRINK, dims) / _SHRINK
 
 
 def _project_cone_sum(C: np.ndarray, dims: PlayerDims) -> np.ndarray:
-    """project_cone_sum of a finite float m x m array, unchecked."""
+    """project_cone_sum of a finite float m x m array, unchecked.  The PSD part
+    clamps the negative eigenvalues of the symmetric half (`game._eigh`)."""
     sym, skew = _halves(C)
-    P = project_psd(sym)
+    w, V = _eigh(sym)
+    np.maximum(w, 0.0, out=w)
+    P = (V * w).dot(V.T)
     skew *= dims._off_block
     P += skew
     return P
@@ -105,7 +94,8 @@ def project_feasible(C: np.ndarray, dims: PlayerDims, rho: float) -> np.ndarray:
     ball is centered at the cone's apex.  The cone projection is a new array,
     so the ball's radial rescale runs on it in place, and only when its norm
     exceeds rho (otherwise the factor rho / max(rho, norm) is exactly 1).
-    The norm is `_norm`'s, which rescales where the sum of squares overflows.
+    The norm is `_norm`'s, which rescales where the sum of squares overflows;
+    a cone projection that overflows is redone on C scaled by `_SHRINK`.
     """
     rho = _real(rho, "rho")  # a double, so the rescale is not rounded to a float32 rho
     return _project_feasible(_array(C, (dims.total, dims.total), "C"), dims, rho)
@@ -116,7 +106,10 @@ def _project_feasible(C: np.ndarray, dims: PlayerDims, rho: float) -> np.ndarray
     unchecked: the bilevel loop checks rho once and owns every C it projects."""
     A = _project_cone_sum(C, dims)
     norm = _norm(A)
-    if norm > rho:
+    if not math.isfinite(norm):  # the ball binds: the projection's norm left double range
+        A = _project_cone_sum(C * _SHRINK, dims)
+        A *= rho / _norm(A)
+    elif norm > rho:
         A *= rho / norm
     return A
 

@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
-from .errors import DimensionMismatch, NonFiniteInput, NonPositiveStrategy
+from .errors import DecompositionFailure, DimensionMismatch, NonFiniteInput, NonPositiveStrategy
 from .game import (
     Game,
     _array,
     _check_lambda,
+    _linear_solve,
     _positive,
     _real,
     _whole,
@@ -35,24 +35,6 @@ MAX_BACKTRACKS = 40
 
 # Samples drawn per batch by simulate_gumbel_choice, bounding its memory.
 GUMBEL_CHUNK = 1 << 16
-
-
-def _raise_singular(err, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-def _linear_solve(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(A, v) for a float m x m A and m-vector v, bit for bit.
-
-    It calls the LAPACK gesv gufunc that np.linalg.solve calls, under the
-    same floating-point error state (a singular A raises LinAlgError), and
-    skips the wrapper's dtype and shape dispatch, half of its time at small m.
-    `numpy.linalg._umath_linalg` is private to numpy; projections.project_psd
-    calls its eigh the same way.
-    """
-    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
-        return _umath_linalg.solve1(A, v, signature="dd->d")
 
 
 @dataclass(frozen=True)
@@ -135,14 +117,21 @@ def response_jacobian(g: Game, x: np.ndarray) -> np.ndarray:
     """Jacobian of the softmax with respect to its argument u = -(b + Cx)/lam.
 
     Block-diagonal with blocks diag(p_i) - p_i p_i^T where p = f(u); each
-    block is symmetric PSD with zero row sums.  This is the only place the
-    dense m x m matrix is built: the solver and the implicit gradient use
-    its block structure instead (see cost_residual_jacobian).
+    block is symmetric PSD with zero row sums: J = diag(p) - W W^T, with W
+    the `_block_scatter` of p.  This is the only place the dense m x m matrix
+    is built: the solver and the implicit gradient use its block structure
+    instead (see cost_residual_jacobian).
     """
     p = logit_response(g, x)
-    J = np.where(g.dims._same_block, -np.outer(p, p), 0.0)
-    J.flat[:: p.size + 1] += p
-    return J
+    W = _block_scatter(g.dims, p)
+    return np.diag(p) - W.dot(W.T)
+
+
+def _block_scatter(dims, x: np.ndarray) -> np.ndarray:
+    """The m x n matrix whose column i is x on player i's block, 0 off it."""
+    W = np.zeros((dims.total, dims.n))
+    W.ravel()[dims._scatter_index] = x  # a view: W is contiguous
+    return W
 
 
 def cost_residual_jacobian(g: Game, x: np.ndarray) -> np.ndarray:
@@ -152,10 +141,10 @@ def cost_residual_jacobian(g: Game, x: np.ndarray) -> np.ndarray:
     at the cost y with f(-y/lam) = x.  It is formed in O(m^2 n) from the
     block structure of J_u, without building it: column j of C J_u, in block
     k, is x_j (C_{:,j} - S_{:,k}) with S_{:,k} = sum over l in block k of
-    C_{:,l} x_l, one product of C with the m x n block indicator scaled by x.
-    Blocks are contiguous, so S is spread over them with one contiguous
-    repeat of each column, m_k times.  The indicator is filled through the
-    flat index and the sizes array that dims computed once.
+    C_{:,l} x_l, one product of C with the block scatter W of x
+    (`_block_scatter`).  Blocks are contiguous, so S is spread over them
+    with one contiguous repeat of each column, m_k times, by the sizes
+    array that dims computed once.
 
     Under the uniqueness certificate H is nonsingular: det(I + AB) =
     det(I + BA) gives det H = det(I + (1/lam) J_u C) =
@@ -163,13 +152,10 @@ def cost_residual_jacobian(g: Game, x: np.ndarray) -> np.ndarray:
     is at least I.
     """
     dims = g.dims
-    m = dims.total
-    W = np.zeros((m, dims.n))
-    W.ravel()[dims._scatter_index] = x  # a view: W is contiguous
-    H = g.C.dot(W).repeat(dims._size_array, axis=1)
+    H = g.C.dot(_block_scatter(dims, x)).repeat(dims._size_array, axis=1)
     np.subtract(g.C, H, out=H)
     H *= x / g.lam
-    diagonal = H.ravel()[:: m + 1]  # a view: H is contiguous
+    diagonal = H.ravel()[:: dims.total + 1]  # a view: H is contiguous
     diagonal += 1.0
     return H
 
@@ -225,7 +211,7 @@ def _solve_equilibrium(g: Game, cfg: SolverConfig, x0: np.ndarray | None) -> Sol
                                     _game=g)
         try:
             step = _linear_solve(cost_residual_jacobian(g, x), -R)
-        except np.linalg.LinAlgError:
+        except DecompositionFailure:
             return _last_iterate(g, x, c, Rsq, tol, it)
 
         # Armijo backtracking on phi = 0.5 ||R||^2, whose slope along the

@@ -505,6 +505,7 @@ EDGE_GAMES = {
     "EYE": {"lambda": 10.0, "dims": [2], "b": [0.0, 0.0], "C": [[1e308, 0.0], [0.0, 1e308]]},
     "COUPLING_0.1": _coupling_game(0.1),
     "COUPLING_10": _coupling_game(10.0),
+    "FULL_1E308": {"lambda": 10.0, "dims": [2, 2], "b": [0.0] * 4, "C": [[1e308] * 4] * 4},
 }
 
 BILEVEL_KL = ["--objective", "kl", "--target", "3,3,3,3", "--rho", "1"]
@@ -513,7 +514,7 @@ POTENTIAL_DELAY = ["--objective", "potential-delay", "--rho", "1"]
 
 class TestEdgeOfDoubleRange:
     """Finite inputs at the edge of double range: each command ends before its
-    timeout, exits 0, 2 or 3 with a typed error, never 1, and prints no numpy
+    timeout, exits 0, or 2 or 3 with a typed error, never 1, and prints no numpy
     warning.  A subprocess, so a hang fails the row and stderr is the CLI's own
     (`design-sdp --epsilon 1e308` used to halve a NaN line-search trial forever)."""
 
@@ -534,12 +535,13 @@ class TestEdgeOfDoubleRange:
         (["design-bilevel", "--game", "COUPLING_0.1", *POTENTIAL_DELAY], 2, "NonPositiveLambda"),
         (["design-bilevel", "--game", "COUPLING_10", *POTENTIAL_DELAY], 3, None),
         (["check", "--game", "HUGE_INT"], 2, "InvalidInput"),
+        (["design-bilevel", "--game", "FULL_1E308", *POTENTIAL_DELAY], 0, None),
     ], ids=["check-C-1e308", "solve-lambda-1e-320", "solve-lambda-5e-324",
             "design-sdp-epsilon-1e30", "design-sdp-epsilon-1e308",
             "design-bilevel-kl-lambda-1e-5", "design-bilevel-fair-lambda-1e-5",
             "check-coupling-lambda-0.1", "check-coupling-lambda-10",
             "design-bilevel-coupling-lambda-0.1", "design-bilevel-coupling-lambda-10",
-            "check-integer-beyond-float"])
+            "check-integer-beyond-float", "design-bilevel-cone-projection-beyond-double"])
     def test_ends_typed_without_warnings(self, argv, code, kind, collision_path, fair_path,
                                          tmp_path):
         paths = {"COLLISION": collision_path, "FAIR": fair_path}
@@ -559,6 +561,7 @@ class TestEdgeOfDoubleRange:
         assert proc.returncode == code, proc.stderr
         assert "Warning" not in proc.stderr
         if kind is None:
-            assert proc.stderr == "" and json.loads(out.read_text())["converged"] is False
+            assert proc.stderr == ""
+            assert json.loads(out.read_text())["converged"] is (code == 0)
         else:
             assert proc.stderr.startswith(f"error:{kind}:")

@@ -248,12 +248,11 @@ class TestBlocks:
         dims = PlayerDims(sizes)
         m, n, owner = dims.total, dims.n, dims.owner
         same = owner[:, None] == owner[None, :]
-        cached = (dims._same_block, dims._off_block, dims._scatter_index, dims._size_array)
+        cached = (dims._off_block, dims._scatter_index, dims._size_array)
         copy = pickle.loads(pickle.dumps(dims))  # pickled after the arrays were cached
-        rebuilt = (copy._same_block, copy._off_block, copy._scatter_index, copy._size_array)
+        rebuilt = (copy._off_block, copy._scatter_index, copy._size_array)
         for arrays in (cached, rebuilt):
-            same_block, off_block, scatter_index, size_array = arrays
-            assert np.array_equal(same_block, same)
+            off_block, scatter_index, size_array = arrays
             assert np.array_equal(off_block, np.where(same, 0.0, 1.0))
             W = np.zeros((m, n))
             W.ravel()[scatter_index] = 1.0

@@ -334,8 +334,9 @@ class TestClosedFormProjection:
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        # projections.project_psd calls the LAPACK gufunc behind np.linalg.eigh
+        # game._eigh and game._eigvalsh call the LAPACK gufuncs behind them
         monkeypatch.setattr(np.linalg._umath_linalg, "eigh_lo", refuse)
+        monkeypatch.setattr(np.linalg._umath_linalg, "eigvalsh_lo", refuse)
         for (g, target, eps), ref in zip(self.designs(np.random.default_rng(7)), expected):
             result = solve_min_norm_design(g, target, MinNormConfig(epsilon=eps))
             assert result.converged and np.array_equal(result.C, ref.C)

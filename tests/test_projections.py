@@ -76,6 +76,17 @@ class TestHalvesAndNorm:
         assert _norm(F) == pytest.approx(1.0, rel=1e-12)
         assert in_feasible_set(F, dims, 1.0)
 
+    def test_projection_whose_eigenvalue_leaves_double_range(self):
+        # C + C^T's largest eigenvalue, 8e308, overflows inside the eigensolver,
+        # but C is in the cone, so its projection is C itself
+        dims = PlayerDims([2, 2])
+        C = np.full((4, 4), 1e308)
+        P = project_cone_sum(C, dims)
+        assert np.isfinite(P).all()
+        assert _norm(P - C) <= 1e-15 * _norm(C)
+        F = project_feasible(C, dims, 1.0)
+        assert in_feasible_set(F, dims, 1.0)
+
 
 @pytest.mark.parametrize("project", [
     project_cone_sum,
@@ -130,14 +141,13 @@ class TestProjectConeSum:
             assert inner.max() <= 1e-8
 
     def test_matches_per_block_zeroing(self, rng):
-        from qregames.projections import project_psd
-
         dims = PlayerDims([1, 4, 2, 7])
         C = rng.normal(size=(dims.total, dims.total))
+        w, V = np.linalg.eigh(0.5 * (C + C.T))
         skew = 0.5 * (C - C.T)
         for i in range(dims.n):
             skew[dims.block(i), dims.block(i)] = 0.0
-        assert np.array_equal(project_cone_sum(C, dims), project_psd(0.5 * (C + C.T)) + skew)
+        assert np.array_equal(project_cone_sum(C, dims), (V * np.maximum(w, 0.0)) @ V.T + skew)
 
     def test_in_place_matches_textbook_bit_for_bit(self, rng):
         dims = PlayerDims([1, 4, 2, 7])

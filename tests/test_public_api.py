@@ -326,6 +326,26 @@ def test_array_rule_lives_in_the_game_helper(error, phrase):
     assert offenders == []
 
 
+def test_lapack_calls_live_in_the_game_helpers():
+    """No module but game.py names numpy's private `_umath_linalg`, and none
+    calls an `np.linalg` function: every LAPACK call goes through
+    `game._linear_solve`, `game._eigh` or `game._eigvalsh`, which raise the
+    library's typed errors."""
+    offenders = []
+    for path in sorted(Path(qregames.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner = node.func.value
+                if (isinstance(owner, ast.Attribute) and owner.attr == "linalg"
+                        and isinstance(owner.value, ast.Name) and owner.value.id == "np"):
+                    offenders.append(f"{path.name}:{node.lineno}: np.linalg.{node.func.attr}")
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+            if "_umath_linalg" in names and path.name != "game.py":
+                offenders.append(f"{path.name}:{node.lineno}: _umath_linalg")
+    assert offenders == []
+
+
 def test_import_loads_no_cli_or_sweep_modules():
     """`import qregames` in a fresh interpreter loads neither the CLI, the
     sweeps and the chart writer nor the standard modules only they need."""

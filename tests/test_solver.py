@@ -5,7 +5,9 @@ import pytest
 
 import qregames.solver
 from qregames import (
+    DecompositionFailure,
     DimensionMismatch,
+    EigendecompositionFailure,
     Game,
     NonFiniteInput,
     NonPositiveLambda,
@@ -24,6 +26,7 @@ from qregames import (
     uniform_strategy,
 )
 from qregames.experiments import bilevel_row, build_collision_game
+from qregames.game import _eigh, _eigvalsh, _linear_solve
 
 from conftest import damped_fixed_point, random_certified_game, random_interior_strategy
 
@@ -199,20 +202,37 @@ class TestStructuredKernels:
     @pytest.mark.parametrize("m", [1, 12, 27, 99])
     def test_linear_solve_matches_numpy_bit_for_bit(self, rng, m):
         # the solver and the implicit gradient call LAPACK's gesv through
-        # numpy's gufunc, for H and for the F-ordered view H^T
-        from qregames.solver import _linear_solve
-
+        # numpy's gufunc, for H and for the F-ordered view H^T; the cone
+        # projection and the certificate call its symmetric eigensolvers
         for _ in range(5):
             H = rng.normal(size=(m, m)) + m * np.eye(m)
             v = rng.normal(size=m)
             assert np.array_equal(_linear_solve(H, v), np.linalg.solve(H, v))
             assert np.array_equal(_linear_solve(H.T, v), np.linalg.solve(H.T, v))
+            S = H + H.T
+            w, V = _eigh(S)
+            expected = np.linalg.eigh(S)
+            assert np.array_equal(w, expected.eigenvalues)
+            assert np.array_equal(V, expected.eigenvectors)
+            assert np.array_equal(_eigvalsh(S), np.linalg.eigvalsh(S))
 
     def test_linear_solve_of_a_singular_matrix_raises(self):
-        from qregames.solver import _linear_solve
-
-        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            np.linalg.solve(np.ones((2, 2)), np.ones(2))
+        with pytest.raises(DecompositionFailure, match="^Singular matrix$"):
             _linear_solve(np.ones((2, 2)), np.ones(2))
+
+    @pytest.mark.parametrize("helper, wrapper", [(_eigh, np.linalg.eigh),
+                                                 (_eigvalsh, np.linalg.eigvalsh)],
+                             ids=["eigh", "eigvalsh"])
+    def test_unconverged_eigensolver_raises(self, helper, wrapper):
+        # numpy's wrapper raises LinAlgError on this NaN matrix; the helper
+        # raises the typed error with the same message
+        S = np.full((3, 3), np.nan)
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            wrapper(S)
+        with pytest.raises(EigendecompositionFailure, match="^Eigenvalues did not converge$"):
+            helper(S)
 
     def test_uniform_strategy_is_exact_per_block(self):
         x = uniform_strategy(self.DIMS)
@@ -458,7 +478,8 @@ def distinct_equilibria(g: Game, rng, starts: int) -> list[np.ndarray]:
 
 def tangent_basis(dims: PlayerDims) -> np.ndarray:
     """Orthonormal basis of T, the strategy differences whose every block sums to 0."""
-    block_mean = np.where(dims._same_block, 1.0, 0.0) / np.repeat(dims.sizes, dims.sizes)
+    same_block = dims.owner[:, None] == dims.owner
+    block_mean = np.where(same_block, 1.0, 0.0) / np.repeat(dims.sizes, dims.sizes)
     w, V = np.linalg.eigh(np.eye(dims.total) - block_mean)
     return V[:, w > 0.5]
 
@@ -518,7 +539,8 @@ class TestErrorBound:
             assert -2 * lam < kappa < 0 and not check_assumption(g).passed
             for _ in range(5):
                 x = random_interior_strategy(rng, g.dims)
-                J = np.where(g.dims._same_block, -np.outer(x, x), 0.0) + np.diag(x)
+                same_block = g.dims.owner[:, None] == g.dims.owner
+                J = np.where(same_block, -np.outer(x, x), 0.0) + np.diag(x)
                 w, V = np.linalg.eigh(J)
                 root = (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
                 M = np.eye(g.dims.total) + root @ g.C @ root / lam
