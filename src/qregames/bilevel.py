@@ -10,12 +10,13 @@ along the feasible direction: one projection per step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import InnerSolveFailure
+from .errors import InnerSolveFailure, InvalidInput, NonFiniteInput
 from .game import Game, _array, _linear_solve, _real, _whole
 from .objectives import PerformanceObjective
 from .projections import _norm, _project_feasible
@@ -100,8 +101,10 @@ def run_projected_gradient(
     the trial is the next iterate.  The feasible set is convex, so every trial
     is feasible, and the step's one projection serves its whole search.  Trial
     solves start from the equilibrium of C; an unconverged one raises
-    InnerSolveFailure, and a performance gradient with a NaN or infinite
-    entry raises NonFiniteInput.
+    InnerSolveFailure.  A performance gradient with a NaN or infinite entry,
+    or a performance value that is NaN or infinite, raises NonFiniteInput,
+    and a value that is not a real number InvalidInput: each value is checked
+    before the loop compares it or makes another trial solve.
 
     Under sufficient decrease the recorded objective never rises, so the last
     iterate is the best.  A run ends unconverged at its last iterate when it
@@ -113,7 +116,7 @@ def run_projected_gradient(
     C = _project_feasible(g0.C, dims, rho)
     game = g0._wrapping(C)
     x = _solve(game, cfg, None, 0)
-    value = obj.value(x)
+    value = _value(obj, x)
     history: list[tuple[int, float, float]] = []
 
     for iteration in range(1, cfg.max_outer_iters + 1):
@@ -132,7 +135,7 @@ def run_projected_gradient(
         for _ in range(MAX_HALVINGS + 1):
             game_trial = g0._wrapping(C_trial)
             x_trial = _solve(game_trial, cfg, x, iteration)
-            value_trial = obj.value(x_trial)
+            value_trial = _value(obj, x_trial)
             if value_trial <= value + s * slope:
                 break
             s *= HALVING
@@ -158,3 +161,17 @@ def _solve(g: Game, cfg: BilevelConfig, warm: np.ndarray | None, iteration: int)
         raise InnerSolveFailure(f"equilibrium solve unconverged at outer iteration {iteration} "
                                 f"(residual_sq={outcome.residual_sq:.3e})")
     return outcome.x
+
+
+def _value(obj: PerformanceObjective, x: np.ndarray):
+    """obj.value(x) if it is a finite real number, else NonFiniteInput (NaN or
+    infinite) or InvalidInput (not a real number).  math.isfinite, not `_array`:
+    it runs once per trial solve and costs a fiftieth as much."""
+    value = obj.value(x)
+    try:
+        finite = math.isfinite(value)
+    except TypeError as exc:
+        raise InvalidInput(f"performance value {value!r} is not a real number") from exc
+    if not finite:
+        raise NonFiniteInput(f"performance value {value!r} is not finite")
+    return value

@@ -5,13 +5,13 @@ Subcommands: solve, check, design-sdp, design-bilevel, simulate, experiment.
 runs that scenario's sweep from `qregames.experiments`; its flags follow the
 scenario name, and each scenario accepts only the flags it reads.  `--target`
 and `--delta` apply to `design-bilevel --objective kl` only.  Exit codes: 0
-success; 2 malformed input, an output path that cannot be written or an
-unsatisfiable request, one whose equilibrium underflows to zeros included; 3
-solver non-convergence (the artifact is still written, flagged
-converged=false; `experiment` exits 3 when any row is unconverged or
-failed); 1 internal error.  Errors go to stderr with the prefix
-``error:<kind>:``.  All numeric output keeps full double precision, and
-identical invocations with the same seed produce byte-identical files.
+success; 3 solver non-convergence (the artifact is still written, flagged
+converged=false; `check` exits 3 when the certificate fails, `experiment`
+when any row is unconverged or failed); otherwise the first row of `_EXITS`
+that matches the error, which the README's exit-code table lists by error
+kind.  Errors go to stderr with the prefix ``error:<kind>:``.  All numeric
+output keeps full double precision, and identical invocations with the same
+seed produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -42,22 +42,21 @@ from .game import (ASSUMPTION_TOL, PlayerDims, PureTarget, _array, _read_json_ob
                    check_assumption, load_game, pure_to_strategy)
 from .min_norm import MinNormConfig, solve_min_norm_design
 from .objectives import KL_SMOOTHING_DEFAULT, kl_objective, kl_to_pure, potential_delay_objective
-from .results import DesignResult
 from .solver import (SolverConfig, blockwise_softmax, simulate_gumbel_choice, solve_equilibrium,
                      stationarity_residual)
 from .svgplot import line_chart, stacked_bars
 
-_INPUT_ERRORS = (
-    InvalidInput,
-    DimensionMismatch,
-    NonPositiveLambda,
-    IndexOutOfRange,
-    NonFiniteInput,
-    InvalidGeometry,
-    InfeasibleDetected,
-    # an equilibrium that underflowed to zeros: the request cannot be met in double precision
-    NonPositiveStrategy,
-    ZeroAreaTotal,
+# (error types, exit code, error kind) for `main`; the first row that matches wins.
+# The kind is formatted with the error's class name.
+_EXITS = (
+    ((InvalidInput, DimensionMismatch, NonPositiveLambda, IndexOutOfRange, NonFiniteInput,
+      InvalidGeometry, InfeasibleDetected,
+      # an equilibrium that underflowed to zeros: the request cannot be met in double precision
+      NonPositiveStrategy, ZeroAreaTotal), 2, "{}"),
+    (InnerSolveFailure, 3, "{}"),
+    (FileNotFoundError, 2, "FileNotFound"),
+    (QreGamesError, 1, "{}"),
+    (Exception, 1, "Internal: {}"),
 )
 
 
@@ -111,9 +110,23 @@ def _bilevel_config(args) -> BilevelConfig:
     )
 
 
-def _kl(args, target_x: np.ndarray, dims):
+def _objective(args, game, target: PureTarget | None):
+    """The KL objective toward target, smoothed by --delta, and the target's
+    strategy; or, when target is None, the potential-delay objective and None."""
+    if target is None:
+        return potential_delay_objective(game.dims), None
+    target_x = pure_to_strategy(target, game.dims)
     delta = KL_SMOOTHING_DEFAULT if args.delta is None else args.delta
-    return kl_objective(target_x, dims, smoothing_delta=delta)
+    return kl_objective(target_x, game.dims, smoothing_delta=delta), target_x
+
+
+def _write_result(args, payload: dict, ok: bool, **extra) -> int:
+    """Write payload, then --seed and the extra columns, as JSON to --out; exit
+    code 0 when ok (converged, or the certificate passed), else 3."""
+    payload["seed"] = args.seed
+    payload.update(extra)
+    _write_json(payload, args.out)
+    return 0 if ok else 3
 
 
 # ---------------------------------------------------------------- solve ----
@@ -134,30 +147,17 @@ def _cmd_solve(args) -> int:
         "stationarity_residual": (
             stationarity_residual(game, outcome.x) if np.all(outcome.x > 0) else None
         ),
-        "seed": args.seed,
     }
-    _write_json(payload, args.out)
-    return 0 if outcome.converged else 3
+    return _write_result(args, payload, outcome.converged)
 
 
 def _cmd_check(args) -> int:
     game = _load_game_with_overrides(args)
     report = check_assumption(game, tol=args.tol)
-    payload = report.to_dict()
-    payload["seed"] = args.seed
-    _write_json(payload, args.out)
-    return 0 if report.passed else 3
+    return _write_result(args, report.to_dict(), report.passed)
 
 
 # --------------------------------------------------------------- design ----
-
-
-def _design_payload(result: DesignResult, seed: int, extra: dict | None = None) -> dict:
-    payload = result.to_dict()
-    payload["seed"] = seed
-    if extra:
-        payload.update(extra)
-    return payload
 
 
 def _cmd_design_sdp(args) -> int:
@@ -166,32 +166,21 @@ def _cmd_design_sdp(args) -> int:
     cfg = _min_norm_config(args, args.epsilon)
     result = solve_min_norm_design(game, target, cfg)
     target_x = pure_to_strategy(target, game.dims)
-    payload = _design_payload(result, args.seed, {"kl_to_target": kl_to_pure(result.x, target_x)})
-    _write_json(payload, args.out)
-    return 0 if result.converged else 3
+    return _write_result(args, result.to_dict(), result.converged,
+                         kl_to_target=kl_to_pure(result.x, target_x))
 
 
 def _cmd_design_bilevel(args) -> int:
     game = _load_game_with_overrides(args)
-    if args.objective == "kl":
-        if args.target is None:
-            raise InvalidInput("--objective kl requires --target")
-        target = PureTarget(_parse_floats(args.target, "--target"))
-        target_x = pure_to_strategy(target, game.dims)
-        obj = _kl(args, target_x, game.dims)
-    else:
-        if args.target is not None or args.delta is not None:
-            raise InvalidInput("--target and --delta apply to --objective kl only")
-        target_x = None
-        obj = potential_delay_objective(game.dims)
-    cfg = _bilevel_config(args)
-    result = run_projected_gradient(game, obj, args.rho, cfg)
-    extra = {}
-    if target_x is not None:
-        extra["kl_to_target"] = kl_to_pure(result.x, target_x)
-    payload = _design_payload(result, args.seed, extra)
-    _write_json(payload, args.out)
-    return 0 if result.converged else 3
+    if args.objective == "kl" and args.target is None:
+        raise InvalidInput("--objective kl requires --target")
+    if args.objective != "kl" and (args.target is not None or args.delta is not None):
+        raise InvalidInput("--target and --delta apply to --objective kl only")
+    target = None if args.target is None else PureTarget(_parse_floats(args.target, "--target"))
+    obj, target_x = _objective(args, game, target)
+    result = run_projected_gradient(game, obj, args.rho, _bilevel_config(args))
+    extra = {} if target_x is None else {"kl_to_target": kl_to_pure(result.x, target_x)}
+    return _write_result(args, result.to_dict(), result.converged, **extra)
 
 
 # ------------------------------------------------------------- simulate ----
@@ -234,12 +223,10 @@ def _cmd_experiment(args) -> int:
     else:
         if args.scenario == "collision-bilevel":
             game, target = experiments.build_collision_game()
-            target_x = pure_to_strategy(target, game.dims)
-            obj = _kl(args, target_x, game.dims)
         else:
             game = experiments.build_fair_game(_fair_adjacency(args), args.homes.split(","))
-            target_x = None
-            obj = potential_delay_objective(game.dims)
+            target = None
+        obj, target_x = _objective(args, game, target)
         rho_grid = _parse_floats(args.rho_grid, "--rho-grid")
         rows = experiments.sweep_bilevel_rho(rho_grid, obj, game, _bilevel_config(args),
                                              target_x, jobs=args.jobs)
@@ -393,21 +380,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error:{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except InnerSolveFailure as exc:
-        print(f"error:InnerSolveFailure: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
-        print(f"error:FileNotFound: {exc}", file=sys.stderr)
-        return 2
-    except QreGamesError as exc:
-        print(f"error:{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # pragma: no cover - kept for CLI robustness
-        print(f"error:Internal: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        code, kind = next((code, kind) for types, code, kind in _EXITS if isinstance(exc, types))
+        print(f"error:{kind.format(type(exc).__name__)}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -65,8 +65,7 @@ def _real(v, what: str, *, strict: bool = True, high: float = math.inf,
     """v as a Python float (a double, even for a float32) if it is a real number
     (True and "1" are not), else InvalidInput; and if it is finite, > 0 (>= 0
     unless strict) and <= high, else `error`."""
-    # float first: project_feasible runs this every outer step, and the ABC test is 10x slower
-    if not (isinstance(v, float) or (isinstance(v, numbers.Real) and not isinstance(v, bool))):
+    if not isinstance(v, numbers.Real) or isinstance(v, bool):
         raise InvalidInput(f"{what} must be a real number, got {v!r}")
     x = float(v)
     if (0.0 < x if strict else 0.0 <= x) and x <= high and x < math.inf:

@@ -11,9 +11,12 @@ import numpy as np
 class DesignResult:
     """A designed cost matrix together with the equilibrium it induces.
 
-    `x` is always the converged equilibrium of `C`.  `objective_value` is the
-    route's figure of merit at x (divergence from the target for the margin
-    route, the performance function for the gradient route).  `history`
+    `x` is the equilibrium of `C` from the route's last solve, always a
+    converged one for the gradient route.  The min-norm route returns its
+    final solve's x even when that solve stops unconverged, and `converged`
+    is then false.  `objective_value` is the route's figure of merit at x
+    (divergence from the target for the margin route, the performance
+    function for the gradient route).  `history`
     holds one (iteration, objective_value, step_norm) triple per outer
     iteration of the gradient route; it is empty for the margin route.
     `max_violation` is the largest margin-constraint violation and is NaN

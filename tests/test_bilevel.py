@@ -10,6 +10,7 @@ from qregames import (
     DimensionMismatch,
     Game,
     InnerSolveFailure,
+    InvalidInput,
     NonFiniteInput,
     PerformanceObjective,
     PlayerDims,
@@ -275,6 +276,32 @@ class TestKernelLoop:
         with pytest.raises(NonFiniteInput, match="performance gradient"):
             run_projected_gradient(game, nan_at_3, 0.1)
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("bad_from, bad, error", [
+        (4, np.nan, NonFiniteInput),  # used to run all 31 trials of a line search
+        (1, np.nan, NonFiniteInput),  # used to be returned as the objective value
+        (2, np.inf, NonFiniteInput),
+        (1, "abc", InvalidInput),  # used to escape as a bare TypeError
+    ], ids=["nan-from-call-4", "nan-first", "inf-from-call-2", "str-first"])
+    def test_value_that_is_not_finite_raises_before_another_solve(self, monkeypatch, bad_from,
+                                                                  bad, error):
+        game, obj = collision_kl()
+        values, solves = [], []
+
+        def turning_bad(x):
+            values.append(x)
+            return bad if len(values) >= bad_from else obj.value(x)
+
+        solve = qregames.bilevel._solve_equilibrium
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(qregames.bilevel, "_solve_equilibrium", counted)
+        bad_value = PerformanceObjective(turning_bad, obj.gradient, "bad-value")
+        with pytest.raises(error, match="performance value"):
+            run_projected_gradient(game, bad_value, 1.0)
+        assert len(values) == len(solves) == bad_from
 
     def test_unconverged_trial_raises(self):
         # the collision start C = P(0) = 0 has the closed-form equilibrium, so

@@ -565,3 +565,63 @@ class TestEdgeOfDoubleRange:
             assert json.loads(out.read_text())["converged"] is (code == 0)
         else:
             assert proc.stderr.startswith(f"error:{kind}:")
+
+
+EXIT_ROWS = [
+    (qregames.InvalidInput("boom"), 2, "error:InvalidInput: boom"),
+    (qregames.DimensionMismatch("boom"), 2, "error:DimensionMismatch: boom"),
+    (qregames.NonPositiveLambda("boom"), 2, "error:NonPositiveLambda: boom"),
+    (qregames.IndexOutOfRange("boom"), 2, "error:IndexOutOfRange: boom"),
+    (qregames.NonFiniteInput("boom"), 2, "error:NonFiniteInput: boom"),
+    (qregames.InvalidGeometry("boom"), 2, "error:InvalidGeometry: boom"),
+    (qregames.InfeasibleDetected("boom", 1.0), 2, "error:InfeasibleDetected: boom"),
+    (qregames.NonPositiveStrategy("boom"), 2, "error:NonPositiveStrategy: boom"),
+    (qregames.ZeroAreaTotal("boom"), 2, "error:ZeroAreaTotal: boom"),
+    (FileNotFoundError("boom"), 2, "error:FileNotFound: boom"),
+    (qregames.InnerSolveFailure("boom"), 3, "error:InnerSolveFailure: boom"),
+    (qregames.EigendecompositionFailure("boom"), 1, "error:EigendecompositionFailure: boom"),
+    (qregames.DecompositionFailure("boom"), 1, "error:DecompositionFailure: boom"),
+    (qregames.QreGamesError("boom"), 1, "error:QreGamesError: boom"),
+    (RuntimeError("boom"), 1, "error:Internal: RuntimeError: boom"),
+]
+
+
+class TestExitTable:
+    """Each error family maps to one exit code and one `error:<kind>:` prefix, and
+    each command writes its JSON keys in one order."""
+
+    @pytest.mark.parametrize("exc, code, prefix", EXIT_ROWS,
+                             ids=[type(row[0]).__name__ for row in EXIT_ROWS])
+    def test_exit_code_and_prefix(self, exc, code, prefix, collision_path, monkeypatch, capsys):
+        def raise_exc(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "solve_equilibrium", raise_exc)
+        assert main(["solve", "--game", collision_path]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == prefix + "\n"
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["solve", "--game", "COLLISION"],
+         ["x", "residual_sq", "iterations", "converged", "certified", "stationarity_residual",
+          "seed"]),
+        (["check", "--game", "COLLISION"],
+         ["min_eig_sym", "diag_block_asymmetry", "lambda_ok", "passed", "tol", "seed"]),
+        (["design-sdp", "--game", "COLLISION", "--target", "3,3,3,3", "--epsilon", "2"],
+         ["C", "x", "objective_value", "c_norm", "outer_iterations", "converged",
+          "max_violation", "seed", "kl_to_target"]),
+        (["design-bilevel", "--game", "COLLISION", *BILEVEL_KL, "--max-outer", "2"],
+         ["C", "x", "objective_value", "c_norm", "outer_iterations", "converged", "history",
+          "seed", "kl_to_target"]),
+        (["design-bilevel", "--game", "FAIR", *POTENTIAL_DELAY, "--max-outer", "2"],
+         ["C", "x", "objective_value", "c_norm", "outer_iterations", "converged", "history",
+          "seed"]),
+        (["simulate", "--cost", "1,2", "--lambda", "1", "--samples", "10"],
+         ["cost", "lambda", "samples", "seed", "frequencies", "logit_response", "tv_distance"]),
+    ], ids=["solve", "check", "design-sdp", "design-bilevel-kl",
+            "design-bilevel-potential-delay", "simulate"])
+    def test_json_key_order(self, argv, keys, collision_path, fair_path, capsys):
+        paths = {"COLLISION": collision_path, "FAIR": fair_path}
+        assert main([paths.get(a, a) for a in argv]) in (0, 3)
+        assert list(json.loads(capsys.readouterr().out)) == keys
