@@ -159,7 +159,9 @@ def _solve(g: Game, cfg: BilevelConfig, warm: np.ndarray | None, iteration: int)
     outcome = _solve_equilibrium(g, cfg.inner, warm)
     if not outcome.converged:
         raise InnerSolveFailure(f"equilibrium solve unconverged at outer iteration {iteration} "
-                                f"(residual_sq={outcome.residual_sq:.3e})")
+                                f"(strategy residual_sq={outcome.residual_sq:.3e}, cost "
+                                f"residual_sq={outcome._cost_residual_sq:.3e}, tolerance "
+                                f"{cfg.inner.residual_tol:g})")
     return outcome.x
 
 

@@ -38,11 +38,11 @@ from .errors import (
     QreGamesError,
     ZeroAreaTotal,
 )
-from .game import (ASSUMPTION_TOL, PlayerDims, PureTarget, _array, _read_json_object, _real,
+from .game import (ASSUMPTION_TOL, PlayerDims, PureTarget, _read_json_object, _real,
                    check_assumption, load_game, pure_to_strategy)
 from .min_norm import MinNormConfig, solve_min_norm_design
 from .objectives import KL_SMOOTHING_DEFAULT, kl_objective, kl_to_pure, potential_delay_objective
-from .solver import (SolverConfig, blockwise_softmax, simulate_gumbel_choice, solve_equilibrium,
+from .solver import (SolverConfig, _response, simulate_gumbel_choice, solve_equilibrium,
                      stationarity_residual)
 from .svgplot import line_chart, stacked_bars
 
@@ -190,9 +190,7 @@ def _cmd_simulate(args) -> int:
     cost = np.array(_parse_floats(args.cost, "--cost"))
     _real(args.lam, "--lambda")
     freq = simulate_gumbel_choice(cost, args.lam, args.samples, args.seed)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        logit = blockwise_softmax(cost / -args.lam, PlayerDims([cost.size]))
-    _array(logit, None, "logit response to -cost/lambda")
+    logit = _response(cost, args.lam, PlayerDims([cost.size]))
     payload = {
         "cost": cost.tolist(),
         "lambda": args.lam,
@@ -243,7 +241,7 @@ def _sweep_plot(scenario: str, rows: list[dict]) -> str:
     if scenario == "collision-sdp":
         return line_chart(
             [r["epsilon"] for r in good],
-            [max(r["kl_to_target"], 1e-16) for r in good],
+            [r["kl_to_target"] for r in good],
             "margin epsilon",
             "divergence from target",
             "Min-norm design trade-off",
@@ -258,7 +256,7 @@ def _sweep_plot(scenario: str, rows: list[dict]) -> str:
         )
     return line_chart(
         [r["rho"] for r in good],
-        [max(r["psi_min"], 1e-16) for r in good],
+        [r["psi_min"] for r in good],
         "norm budget rho",
         "best objective found",
         "Projected-gradient design trade-off",
@@ -295,8 +293,9 @@ def _build_parser() -> _Parser:
 
     def bilevel_flags(p):
         p.add_argument("--alpha", type=float, default=BilevelConfig.step_alpha,
-                       help="gradient step projected once per outer step; "
-                            "the line search's first trial")
+                       help="gradient step projected once per outer step; the line "
+                            "search's first trial is this undamped step P(C - alpha*g), "
+                            "and a large one can saturate the equilibrium and stop there")
         p.add_argument("--stop-eps", type=float, default=BilevelConfig.stop_eps)
         p.add_argument("--max-outer", type=int, default=BilevelConfig.max_outer_iters)
 

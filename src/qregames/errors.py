@@ -36,7 +36,7 @@ class DecompositionFailure(QreGamesError):
 
 
 class ZeroAreaTotal(QreGamesError):
-    """Some area receives zero aggregate service."""
+    """Some area receives zero aggregate service, or too little for 1/total^2."""
 
 
 class InvalidGeometry(QreGamesError):

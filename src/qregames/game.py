@@ -100,11 +100,12 @@ def _array(v, shape: tuple[int, ...] | None, what: str, *, finite: bool = True) 
     return arr
 
 
-def _positive(v: np.ndarray, what: str, error: type[Exception], message: str) -> None:
+def _positive(v: np.ndarray, what: str, error: type[Exception], message: str,
+              floor: float = 0.0) -> None:
     """Raise NonFiniteInput, as `_array` does, on a NaN or infinite entry of the float
-    array v, else error(message) on an entry <= 0.  An empty v passes.  A NaN
+    array v, else error(message) on an entry <= floor.  An empty v passes.  A NaN
     minimum fails the first test, so a passing v costs one min and one max pass."""
-    if not (0.0 < v.min(initial=np.inf) and v.max(initial=-np.inf) < np.inf):
+    if not (floor < v.min(initial=np.inf) and v.max(initial=-np.inf) < np.inf):
         _array(v, None, what)
         raise error(message)
 

@@ -178,30 +178,29 @@ def _dual_min_norm(
     # n (I + 11^T) of size m_i - 1 per player.
     alpha = 1.0 / (dims.n * max(dims.sizes))
     iterations = 0
-    while not _norm(mu - np.maximum(mu - grad, 0.0)) <= tol:  # NaN never converges
+    while not (converged := _norm(mu - np.maximum(mu - grad, 0.0)) <= tol):  # NaN never does
         if iterations == max_iters:
-            return _project_rank_one(a, t, dims), grad, iterations, False
+            break
         d = np.maximum(mu - alpha * grad, 0.0) - mu
         slope = ARMIJO_SIGMA * float(np.vdot(d, grad))  # vdot: no overflow warning
         if not math.isfinite(slope):  # d or grad overflowed: no step can pass the test
-            return _project_rank_one(a, t, dims), grad, iterations, False
+            break
         ceiling = max(recent)
         step = 1.0
-        while True:
-            trial = mu + step * d
-            if np.array_equal(trial, mu):  # the step vanished in round-off
-                return _project_rank_one(a, t, dims), grad, iterations, False
+        while not np.array_equal(trial := mu + step * d, mu):
             a_new, grad_new, theta_new = evaluate(trial)
             if theta_new <= ceiling + step * slope:
                 break
             step *= ARMIJO_SHRINK
+        else:  # the step vanished in round-off
+            break
         s_step, y_step = trial - mu, grad_new - grad
         sy = float(s_step.dot(y_step))
         alpha = min(float(s_step.dot(s_step)) / sy, BB_STEP_MAX) if sy > 0 else BB_STEP_MAX
         mu, a, grad = trial, a_new, grad_new
         recent.append(theta_new)
         iterations += 1
-    return _project_rank_one(a, t, dims), grad, iterations, True
+    return _project_rank_one(a, t, dims), grad, iterations, converged
 
 
 def solve_min_norm_design(

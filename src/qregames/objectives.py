@@ -15,6 +15,9 @@ from .game import PlayerDims, _array, _positive, _real, check_strategy
 # Without it, the divergence to a pure target is infinite.
 KL_SMOOTHING_DEFAULT = 1e-3
 
+# The largest area total whose 1/total^2, in the delay's gradient, is not finite.
+_AREA_TOTAL_FLOOR = float(np.nextafter(1.0 / np.sqrt(np.finfo(float).max), 0.0))
+
 
 @dataclass(frozen=True)
 class PerformanceObjective:
@@ -109,7 +112,8 @@ def _area_totals(n: int, k: int, x: np.ndarray) -> np.ndarray:
     x = _array(x, (n * k,), "strategy", finite=False)
     t = x.reshape(n, k).sum(axis=0)
     # a NaN or infinite entry of x makes its area's total NaN or infinite
-    _positive(t, "strategy", ZeroAreaTotal, "an area receives zero aggregate service")
+    _positive(t, "strategy", ZeroAreaTotal, "an area receives zero aggregate service, or too "
+              "little for 1/total^2 to be finite", floor=_AREA_TOTAL_FLOOR)
     return t
 
 

@@ -9,6 +9,7 @@ holds the zero is unique, and x = f(-y/lam) is the equilibrium.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -66,6 +67,7 @@ class SolveOutcome:
     iterations: int
     converged: bool
     _game: Game = field(repr=False)
+    _cost_residual_sq: float = field(default=math.nan, repr=False)  # ||R||^2, set when unconverged
 
     @cached_property
     def certified(self) -> bool:
@@ -98,19 +100,23 @@ def perceived_cost(g: Game, x: np.ndarray) -> np.ndarray:
 def logit_response(g: Game, x: np.ndarray) -> np.ndarray:
     """Blockwise softmax response to the costs induced by x.
 
-    Output blocks are strictly positive and sum to one.  Raises
-    NonFiniteInput if x, or the cost argument, contains NaN or infinity;
-    x is checked before the product C x.
+    Output blocks are nonnegative and sum to one, under `_response`'s
+    overflow rule.  Raises NonFiniteInput if x, or the cost argument,
+    contains NaN or infinity; x is checked before the product C x.
     """
     x = _array(x, (g.dims.total,), "strategy")
-    return _response_to_cost(g, perceived_cost(g, x))
+    return _response(perceived_cost(g, x), g.lam, g.dims)
 
 
-def _response_to_cost(g: Game, cost: np.ndarray) -> np.ndarray:
-    """f(-cost/lam), the one home of the response map's finiteness rule."""
+def _response(cost: np.ndarray, lam: float, dims) -> np.ndarray:
+    """f(-cost/lam), checked: NonFiniteInput on a NaN or infinite cost entry, or on
+    a block of -cost/lam that overflows whole; an entry that overflows alone gets
+    probability 0.  The solve's per-trial steps call `blockwise_softmax` unchecked."""
     if not np.isfinite(cost).all():
         raise NonFiniteInput("cost argument of the response map is not finite")
-    return blockwise_softmax(cost / -g.lam, g.dims)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        p = blockwise_softmax(cost / -lam, dims)
+    return _array(p, None, "logit response to -cost/lambda")
 
 
 def response_jacobian(g: Game, x: np.ndarray) -> np.ndarray:
@@ -172,8 +178,8 @@ def solve_equilibrium(
     residual R(y) = y - b - Cx vanishes exactly at an equilibrium.  The step
     solves H s = -R (see cost_residual_jacobian) and the line search
     backtracks on 0.5 ||R||^2.  Starts from y = b + C x0, with x0 the
-    uniform strategy unless given; a given x0 must be finite
-    (NonFiniteInput), and is checked before the product C x0.
+    uniform strategy unless given; x0, checked before the product C x0, and
+    the starting y/lam must be finite (NonFiniteInput).
 
     Converged means both ||x - f(x)||^2 and ||R||^2 are at most
     `residual_tol`; `residual_sq` reports the first, computed from the
@@ -198,8 +204,8 @@ def _solve_equilibrium(g: Game, cfg: SolverConfig, x0: np.ndarray | None) -> Sol
     vector that fits g: the design loops call it on the iterates they own."""
     dims, lam, tol = g.dims, g.lam, cfg.residual_tol
     y = perceived_cost(g, uniform_strategy(dims) if x0 is None else x0)
-    if not np.isfinite(y).all():
-        raise NonFiniteInput("starting cost b + C x0 is not finite")
+    if not math.isfinite(float(np.abs(y).max()) / lam):  # NaN fails too
+        raise NonFiniteInput("starting cost (b + C x0)/lambda is not finite")
     x, c, R, Rsq = _at_cost(g, y)
     for it in range(cfg.max_iters):
         if Rsq <= tol:
@@ -212,7 +218,7 @@ def _solve_equilibrium(g: Game, cfg: SolverConfig, x0: np.ndarray | None) -> Sol
         try:
             step = _linear_solve(cost_residual_jacobian(g, x), -R)
         except DecompositionFailure:
-            return _last_iterate(g, x, c, Rsq, tol, it)
+            break
 
         # Armijo backtracking on phi = 0.5 ||R||^2, whose slope along the
         # Gauss-Newton step is R^T H s = -||R||^2; if no trial passes, take
@@ -227,7 +233,13 @@ def _solve_equilibrium(g: Game, cfg: SolverConfig, x0: np.ndarray | None) -> Sol
                 break
             alpha *= BACKTRACK_FACTOR
         y, x, c, R, Rsq = y_try, x_try, c_try, R_try, Rsq_try
-    return _last_iterate(g, x, c, Rsq, tol, cfg.max_iters)
+    else:
+        it = cfg.max_iters
+    # H singular or the iteration cap: c may not be finite, so the response checks it
+    r = x - _response(c, lam, dims)
+    rsq = float(r.dot(r))
+    return SolveOutcome(x=x, residual_sq=rsq, iterations=it, converged=max(rsq, Rsq) <= tol,
+                        _game=g, _cost_residual_sq=Rsq)
 
 
 def _at_cost(g: Game, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -236,17 +248,6 @@ def _at_cost(g: Game, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     c = perceived_cost(g, x)
     R = y - c
     return x, c, R, float(R.dot(R))
-
-
-def _last_iterate(g: Game, x: np.ndarray, c: np.ndarray, Rsq: float, tol: float,
-                  iterations: int) -> SolveOutcome:
-    """The outcome at the iterate where a solve stops outside its convergence
-    test (H singular, or the iteration cap); the perceived cost c may not be
-    finite there, so the response checks it."""
-    r = x - _response_to_cost(g, c)
-    rsq = float(r.dot(r))
-    return SolveOutcome(x=x, residual_sq=rsq, iterations=iterations,
-                        converged=max(rsq, Rsq) <= tol, _game=g)
 
 
 def stationarity_residual(g: Game, x: np.ndarray) -> float:

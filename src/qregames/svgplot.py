@@ -51,10 +51,10 @@ def line_chart(
     title: str,
     log_y: bool = False,
 ) -> str:
-    """A single polyline with markers and axis labels."""
+    """A single polyline with markers and axis labels; log_y plots a value below
+    1e-16, such as 0, at 1e-16."""
     if log_y:
-        floor = max(min((v for v in y if v > 0), default=1e-12) * 0.5, 1e-300)
-        y = [max(v, floor) for v in y]
+        y = [max(v, 1e-16) for v in y]
     sx = _scale(x, _MARGIN, _WIDTH - _MARGIN)
     sy = _scale(y, _HEIGHT - _MARGIN, _MARGIN, log=log_y)
     points = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))

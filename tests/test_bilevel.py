@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -313,6 +314,19 @@ class TestKernelLoop:
         game, obj = collision_kl()
         with pytest.raises(InnerSolveFailure, match="outer iteration 1 "):
             run_projected_gradient(game, obj, 10.0, OneIteration(step_alpha=1e3))
+
+    @pytest.mark.parametrize("problem", [fair_delay, collision_kl])
+    def test_unconverged_trial_names_both_residuals(self, problem):
+        # at this radius the first trial's costs are so large that ||R||^2 cannot
+        # reach the inner tolerance; on fair ||x - f(x)||^2 meets it
+        game, obj = problem()
+        with pytest.raises(InnerSolveFailure) as info:
+            run_projected_gradient(game, obj, 1e8, BilevelConfig(step_alpha=1e7))
+        found = re.fullmatch(r"equilibrium solve unconverged at outer iteration 1 \(strategy "
+                             r"residual_sq=(\S+), cost residual_sq=(\S+), tolerance 1e-20\)",
+                             str(info.value))
+        assert found is not None
+        assert float(found[2]) > 1e-20
 
     def test_result_matrix_is_writable_and_its_own(self):
         game, obj = collision_kl()

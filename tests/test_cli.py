@@ -14,6 +14,7 @@ from qregames import cli, experiments
 from qregames.cli import main
 from qregames.experiments import build_collision_game, build_fair_game
 from qregames.game import game_to_dict, save_game
+from qregames.svgplot import line_chart
 
 
 @pytest.fixture
@@ -243,6 +244,24 @@ class TestExperimentCommand:
         bars = re.findall(r'width="[0-9]+\.[0-9]+" height="[^"]*" fill="([^"]+)"', text)
         assert bars == fills * 2  # one bar per rho, one slice per area in legend order
 
+    def test_failed_row_is_written_and_exits_3(self, tmp_path):
+        # at epsilon 1e30 the designed equilibrium underflows to exact zeros
+        out = tmp_path / "rows.csv"
+        code = main(["experiment", "collision-sdp", "--eps-grid", "1e30,2", "--out", str(out)])
+        assert code == 3
+        header, *lines = out.read_text().strip().split("\n")
+        rows = {row["epsilon"]: row for row in
+                (dict(zip(header.split(","), line.split(","))) for line in lines)}
+        assert rows["1e+30"]["error"] == (
+            "NonPositiveStrategy: objective evaluated at a strategy with nonpositive entries")
+        assert rows["2.0"]["converged"] == "true" and rows["2.0"]["error"] == ""
+
+    def test_log_chart_plots_zero_at_the_floor(self):
+        def chart(y):
+            return line_chart([1.0, 2.0, 3.0], y, "x", "y", "t", log_y=True)
+        assert chart([0.0, 1e-3, 1.0]) == chart([1e-16, 1e-3, 1.0])
+        assert chart([0.0, 1e-3, 1.0]) != chart([2e-16, 1e-3, 1.0])
+
     def test_unconverged_row_exits_3(self, tmp_path):
         out = tmp_path / "rows.csv"
         code = main(["experiment", "collision-sdp", "--eps-grid", "0", "--max-sweeps", "1",
@@ -300,6 +319,16 @@ class TestDeterminismAndErrors:
             assert main(["solve", "--game", collision_path, "--seed", "5",
                          "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--game", "GAME"],
+        ["experiment", "collision-sdp", "--eps-grid", "1"],
+    ], ids=["solve", "experiment"])
+    def test_output_into_a_missing_directory(self, argv, collision_path, tmp_path, capsys):
+        argv = [collision_path if a == "GAME" else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "missing" / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error:FileNotFound:")
+        assert not (tmp_path / "missing").exists()
 
     def test_missing_file(self, capsys):
         assert main(["solve", "--game", "/nonexistent/game.json"]) == 2
@@ -395,6 +424,7 @@ class TestDeterminismAndErrors:
         ["fair", "--rho-grid", "1,inf"],
         ["fair", "--rho-grid", "1", "--jobs", "0"],
         ["collision-sdp", "--eps-grid", "1", "--jobs", "-3"],
+        ["fair", "--rho-grid", ","],
     ])
     def test_bad_experiment_flag_value(self, argv, tmp_path, capsys):
         out = tmp_path / "rows.csv"

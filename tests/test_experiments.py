@@ -269,6 +269,9 @@ class TestCsv:
         parsed = float(text.strip().split("\n")[1])
         assert parsed == value
 
+    def test_no_rows_no_text(self):
+        assert rows_to_csv([]) == ""
+
     def test_area_totals_helper(self):
         game = build_fair_game()
         x = np.full(27, 1.0 / 9.0)

@@ -227,6 +227,14 @@ class TestBlocks:
             x = rng.normal(size=dims.total)
             assert np.array_equal(np.concatenate(dims.split(x)), x)
 
+    def test_split_rejects_wrong_length(self):
+        with pytest.raises(DimensionMismatch):
+            PlayerDims([2]).split(np.zeros(3))
+
+    def test_flat_index_rejects_missing_player(self):
+        with pytest.raises(IndexOutOfRange, match="player 1 outside"):
+            PlayerDims([2]).flat_index(1, 1)
+
     def test_offsets_strictly_increasing(self):
         dims = PlayerDims([2, 5, 1])
         off = dims.offsets

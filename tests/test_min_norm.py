@@ -110,6 +110,9 @@ class TestBuildMarginConstraints:
         with pytest.raises(DimensionMismatch):
             max_margin_violation(C, cons)
 
+    def test_no_constraints_no_violation(self):
+        assert max_margin_violation(np.ones((3, 3)), []) == 0.0
+
 
 class TestSolveMinNormDesign:
     def test_zero_matrix_when_already_feasible(self):

@@ -240,6 +240,23 @@ class TestPotentialDelay:
         with pytest.raises(ZeroAreaTotal):
             obj.value(np.array([1.0, 0.0, 1.0, 0.0]))
 
+    @pytest.mark.parametrize("total", [1e-320, 1e-160])
+    @pytest.mark.parametrize("part", ["value", "gradient"])
+    def test_area_total_whose_inverse_square_overflows_raises(self, total, part):
+        # 1/total^2 leaves double range below about 7.5e-155: 1/1e-160 is
+        # finite but its square is not, and 1/1e-320 overflows alone
+        obj = potential_delay_objective(PlayerDims([2, 2]))
+        x = np.array([total / 2, 1 - total / 2, total / 2, 1 - total / 2])
+        with pytest.raises(ZeroAreaTotal):
+            getattr(obj, part)(x)
+
+    def test_smallest_area_total_with_a_finite_gradient(self):
+        obj = potential_delay_objective(PlayerDims([1]))
+        total = 1.0 / np.sqrt(np.finfo(float).max)
+        assert np.isfinite(obj.gradient(np.array([total]))).all()
+        with pytest.raises(ZeroAreaTotal):
+            obj.gradient(np.array([np.nextafter(total, 0.0)]))
+
     def test_rejects_mixed_action_counts(self):
         with pytest.raises(ValueError):
             potential_delay_objective(PlayerDims([2, 3]))

@@ -346,6 +346,22 @@ def test_lapack_calls_live_in_the_game_helpers():
     assert offenders == []
 
 
+def test_softmax_calls_live_in_the_solver():
+    """No module but solver.py calls `blockwise_softmax`: every other response
+    goes through `solver._response`, which holds the one overflow rule."""
+    offenders = []
+    for path in sorted(Path(qregames.__file__).parent.glob("*.py")):
+        if path.name == "solver.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "blockwise_softmax":
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_import_loads_no_cli_or_sweep_modules():
     """`import qregames` in a fresh interpreter loads neither the CLI, the
     sweeps and the chart writer nor the standard modules only they need."""

@@ -81,6 +81,22 @@ class TestLogitResponse:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteInput):
             logit_response(g, np.array([1.0, 1.0]))
 
+    # x is no strategy, so the cost C x = x is finite while -cost/lambda overflows
+    OVERFLOW_GAME = Game(PlayerDims([2]), 0.1, [0, 0], np.eye(2))
+
+    @pytest.mark.parametrize("fn", [logit_response, response_jacobian])
+    def test_block_that_overflows_whole_raises(self, fn):
+        with pytest.raises(NonFiniteInput, match="^logit response to -cost/lambda has NaN"):
+            fn(self.OVERFLOW_GAME, [1e308, 1e308])
+
+    def test_entry_that_overflows_alone_gets_probability_zero(self):
+        p = logit_response(self.OVERFLOW_GAME, [1e307, 2e307])
+        assert p.tolist() == [1.0, 0.0]
+
+    def test_start_whose_cost_over_lambda_overflows_raises(self):
+        with pytest.raises(NonFiniteInput, match="starting cost"):
+            solve_equilibrium(self.OVERFLOW_GAME, x0=[1e308, 1e308])
+
 
 class TestResponseJacobian:
     def test_uniform_block_analytic(self):
@@ -211,9 +227,9 @@ class TestStructuredKernels:
             assert np.array_equal(_linear_solve(H.T, v), np.linalg.solve(H.T, v))
             S = H + H.T
             w, V = _eigh(S)
-            expected = np.linalg.eigh(S)
-            assert np.array_equal(w, expected.eigenvalues)
-            assert np.array_equal(V, expected.eigenvectors)
+            w_ref, V_ref = np.linalg.eigh(S)
+            assert np.array_equal(w, w_ref)
+            assert np.array_equal(V, V_ref)
             assert np.array_equal(_eigvalsh(S), np.linalg.eigvalsh(S))
 
     def test_linear_solve_of_a_singular_matrix_raises(self):
