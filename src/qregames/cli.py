@@ -38,8 +38,8 @@ from .errors import (
     QreGamesError,
     ZeroAreaTotal,
 )
-from .game import (ASSUMPTION_TOL, PlayerDims, PureTarget, _read_json_object, _real,
-                   check_assumption, load_game, pure_to_strategy)
+from .game import (ASSUMPTION_TOL, PlayerDims, PureTarget, _array, _read_json_object,
+                   _real, check_assumption, load_game, pure_to_strategy)
 from .min_norm import MinNormConfig, solve_min_norm_design
 from .objectives import KL_SMOOTHING_DEFAULT, kl_objective, kl_to_pure, potential_delay_objective
 from .solver import (SolverConfig, _response, simulate_gumbel_choice, solve_equilibrium,
@@ -187,10 +187,13 @@ def _cmd_design_bilevel(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cost = np.array(_parse_floats(args.cost, "--cost"))
+    cost = _parse_floats(args.cost, "--cost")
     _real(args.lam, "--lambda")
-    freq = simulate_gumbel_choice(cost, args.lam, args.samples, args.seed)
+    # simulate_gumbel_choice's cost rule, then the logit column: a column with
+    # no value fails before any sample is drawn
+    cost = _array(cost, None, "cost")
     logit = _response(cost, args.lam, PlayerDims([cost.size]))
+    freq = simulate_gumbel_choice(cost, args.lam, args.samples, args.seed)
     payload = {
         "cost": cost.tolist(),
         "lambda": args.lam,
@@ -245,7 +248,6 @@ def _sweep_plot(scenario: str, rows: list[dict]) -> str:
             "margin epsilon",
             "divergence from target",
             "Min-norm design trade-off",
-            log_y=True,
         )
     if scenario == "fair":
         return stacked_bars(
@@ -260,7 +262,6 @@ def _sweep_plot(scenario: str, rows: list[dict]) -> str:
         "norm budget rho",
         "best objective found",
         "Projected-gradient design trade-off",
-        log_y=True,
     )
 
 

@@ -87,12 +87,12 @@ def build_margin_constraints(
     """
     dims = g.dims
     m = dims.total
-    cols, star, alt, beta = _margin_structure(g, t, _real(epsilon, "epsilon", strict=False))
+    target, star, alt, beta = _margin_structure(g, t, _real(epsilon, "epsilon", strict=False))
     constraints = []
     for row_star, row_k, bound in zip(star, alt, beta):
         normal = np.zeros((m, m))
-        normal[row_star, cols] += 1.0
-        normal[row_k, cols] -= 1.0
+        normal[row_star] = target
+        normal[row_k] -= target
         player = int(dims.owner[row_k])
         action = int(row_k - dims.offsets[player]) + 1
         constraints.append(
@@ -113,19 +113,16 @@ def _margin_structure(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The margin constraints of `build_margin_constraints`, without normals.
 
-    Returns (cols, star, alt, beta): the chosen flat index of every player,
-    and per constraint the chosen row, the alternative row and the bound.
-    Constraint k reads s[star[k]] - s[alt[k]] <= beta[k] with
-    s = C[:, cols].sum(1).
+    Returns (target, star, alt, beta): the target strategy x*, and per
+    constraint the chosen row, the alternative row and the bound.
+    Constraint k reads s[star[k]] - s[alt[k]] <= beta[k] with s = C x*.
     """
     dims = g.dims
-    cols = np.flatnonzero(pure_to_strategy(t, dims))  # raises IndexOutOfRange on a bad target
-    star = np.repeat(cols, [s - 1 for s in dims.sizes])
-    chosen = np.zeros(dims.total, dtype=bool)
-    chosen[cols] = True
-    alt = np.flatnonzero(~chosen)
+    target = pure_to_strategy(t, dims)  # raises IndexOutOfRange on a bad target
+    star = np.repeat(np.flatnonzero(target), [s - 1 for s in dims.sizes])
+    alt = np.flatnonzero(target == 0.0)
     beta = g.b[alt] - g.b[star] - epsilon
-    return cols, star, alt, beta
+    return target, star, alt, beta
 
 
 def _off_block_sum(v: np.ndarray, dims: PlayerDims) -> np.ndarray:
@@ -144,20 +141,19 @@ def _dual_min_norm(
     Minimises the smooth dual theta(mu) = 1/2 ||C(mu)||^2 + beta^T mu over
     mu >= 0, with C(mu) = Pi_K(-A* mu) and grad theta = beta - A C(mu), by
     projected Barzilai-Borwein steps under a nonmonotone Armijo test.
-    -A* mu is a t^T, with t the indicator of the chosen columns `cols` and
+    -A* mu is a t^T, with t the target strategy and
     a = sum_k mu_k (e_alt_k - e_star_k); A C reads s = C t at the star and
     alternative rows.  With M the off-block sum (`_off_block_sum`) and q
     from `_psd_factor`, the dual needs only
         s = (q.t) q / 4 + (a o Mt - t o M(a o t)) / 2,
         ||C||^2 = (||q||^2 / 4)^2 + ((a o a).Mt - (a o t).M(a o t)) / 2,
-    both O(m); C itself is formed once, on return.
+    both O(m); C itself is formed once, on return.  The formulas hold for a
+    pure target only: t is a 0/1 vector, so t o t = t.
     Returns (C, grad, iterations, converged); a margin's violation is
     -grad[k], bounded by the stopping test's projected-gradient norm.
     """
-    cols, star, alt, beta = margins
+    t, star, alt, beta = margins
     m = dims.total
-    t = np.zeros(m)
-    t[cols] = 1.0
     Mt = _off_block_sum(t, dims)
 
     def evaluate(mu):
@@ -219,13 +215,13 @@ def solve_min_norm_design(
     near the edge of double range) before the stopping test held.
     """
     cfg = cfg or MinNormConfig()
+    margins = _margin_structure(g, t, cfg.epsilon)
     C, grad, iterations, converged = _dual_min_norm(
-        g.dims, _margin_structure(g, t, cfg.epsilon), cfg.dykstra_tol, cfg.max_sweeps
+        g.dims, margins, cfg.dykstra_tol, cfg.max_sweeps
     )
     designed = g.with_matrix(C)
     outcome = solve_equilibrium(designed)
-    target_x = pure_to_strategy(t, g.dims)
-    divergence = kl_objective(target_x, g.dims).value(outcome.x)
+    divergence = kl_objective(margins[0], g.dims).value(outcome.x)
     return DesignResult(
         C=C,
         x=outcome.x,

@@ -49,14 +49,12 @@ def line_chart(
     x_label: str,
     y_label: str,
     title: str,
-    log_y: bool = False,
 ) -> str:
-    """A single polyline with markers and axis labels; log_y plots a value below
-    1e-16, such as 0, at 1e-16."""
-    if log_y:
-        y = [max(v, 1e-16) for v in y]
+    """A single polyline with markers and axis labels, y on a log scale that
+    plots a value below 1e-16, such as 0, at 1e-16."""
+    y = [max(v, 1e-16) for v in y]
     sx = _scale(x, _MARGIN, _WIDTH - _MARGIN)
-    sy = _scale(y, _HEIGHT - _MARGIN, _MARGIN, log=log_y)
+    sy = _scale(y, _HEIGHT - _MARGIN, _MARGIN, log=True)
     points = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
     markers = "".join(
         f'<circle cx="{sx(a):.2f}" cy="{sy(b):.2f}" r="3" fill="#3b5fc2"/>'

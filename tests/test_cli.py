@@ -186,6 +186,14 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith("error:NonFiniteInput:")
         assert not out.exists()
 
+    def test_logit_column_fails_before_any_sample(self, monkeypatch, capsys):
+        def no_sampling(*args):
+            raise AssertionError("sampled")
+        monkeypatch.setattr(cli, "simulate_gumbel_choice", no_sampling)
+        assert main(["simulate", "--cost", "1e308", "--lambda", "0.1"]) == 2
+        assert capsys.readouterr().err == (
+            "error:NonFiniteInput: logit response to -cost/lambda has NaN or infinite entries\n")
+
     def test_logit_column_with_one_overflowing_entry(self, tmp_path):
         out = tmp_path / "sim.json"
         argv = ["simulate", "--cost", "1,1e308", "--lambda", "0.1", "--samples", "10",
@@ -258,7 +266,7 @@ class TestExperimentCommand:
 
     def test_log_chart_plots_zero_at_the_floor(self):
         def chart(y):
-            return line_chart([1.0, 2.0, 3.0], y, "x", "y", "t", log_y=True)
+            return line_chart([1.0, 2.0, 3.0], y, "x", "y", "t")
         assert chart([0.0, 1e-3, 1.0]) == chart([1e-16, 1e-3, 1.0])
         assert chart([0.0, 1e-3, 1.0]) != chart([2e-16, 1e-3, 1.0])
 

@@ -198,11 +198,11 @@ class TestSolveMinNormDesign:
         # a NaN projected-gradient norm fails `<= tol`: the dual does not stop
         # as converged, and its line search exits on the non-finite slope
         game, target = build_collision_game()
-        cols, star, alt, beta = _margin_structure(game, target, 3.0)
+        x_star, star, alt, beta = _margin_structure(game, target, 3.0)
         beta[0] = np.nan
         with np.errstate(invalid="ignore"):
             C, grad, iterations, converged = _dual_min_norm(
-                game.dims, (cols, star, alt, beta), 1e-8, 50)
+                game.dims, (x_star, star, alt, beta), 1e-8, 50)
         assert not converged and iterations == 0
 
     @pytest.mark.parametrize("epsilon", [-1.0, float("nan"), float("inf")])
@@ -236,7 +236,8 @@ class TestDualSolver:
         dims = PlayerDims([1, 4, 2, 7])
         g = Game(dims, 0.1, rng.normal(size=dims.total), np.zeros((14, 14)))
         target = PureTarget([1, 3, 2, 7])
-        cols, star, alt, beta = _margin_structure(g, target, epsilon=1.5)
+        x_star, star, alt, beta = _margin_structure(g, target, epsilon=1.5)
+        cols = np.flatnonzero(x_star)
         cons = build_margin_constraints(g, target, epsilon=1.5)
         assert len(cons) == len(star) == len(alt) == len(beta) == 10
         for c, row_star, row_alt, b in zip(cons, star, alt, beta):

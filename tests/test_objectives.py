@@ -35,6 +35,14 @@ class TestKlObjective:
         with pytest.raises(NonFiniteInput):
             kl_objective(np.array([bad, 1.0, 0.5, 0.5]), PlayerDims([2, 2]))
 
+    @pytest.mark.parametrize("target, message", [
+        ([1.0, 1.0, 0.0], "block 0 sums to 2.0"),
+        ([1.5, -0.5, 0.0], "strategy has negative entries"),
+    ], ids=["block-sum", "negative"])
+    def test_rejects_target_that_is_not_a_strategy(self, target, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            kl_objective(np.array(target), PlayerDims([3]))
+
     def test_zero_at_smoothed_target(self, rng):
         dims = PlayerDims([3, 2])
         target = random_interior_strategy(rng, dims)

@@ -267,98 +267,68 @@ def test_array_holders_compare_and_hash_by_identity(index):
     assert hash(a) == hash(a)
 
 
-def test_library_raises_only_its_own_errors():
-    """No `raise` of a builtin exception class in the library: an untyped
-    error would reach the CLI as exit 1 `error:Internal`.  A bare re-raise
-    (such as load_game's FileNotFoundError) is allowed."""
-    builtin_errors = {name for name, obj in vars(builtins).items()
-                      if isinstance(obj, type) and issubclass(obj, BaseException)}
-    offenders = []
-    for path in sorted(Path(qregames.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not isinstance(node, ast.Raise) or node.exc is None:
-                continue
-            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if isinstance(target, ast.Name) and target.id in builtin_errors:
-                offenders.append(f"{path.name}:{node.lineno}: raise {target.id}")
-    assert offenders == []
+BUILTIN_ERRORS = {name for name, obj in vars(builtins).items()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)}
 
 
-def test_range_rules_live_in_the_game_helpers():
-    """No `raise InvalidInput(...)` outside game.py whose message says "must
-    be" or "must lie": a range rule goes through `game._whole` or
-    `game._real`, which own the one message format."""
-    offenders = []
-    for path in sorted(Path(qregames.__file__).parent.glob("*.py")):
-        if path.name == "game.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-                    and isinstance(node.exc.func, ast.Name)
-                    and node.exc.func.id == "InvalidInput"):
-                continue
-            text = "".join(c.value for arg in node.exc.args for c in ast.walk(arg)
-                           if isinstance(c, ast.Constant) and isinstance(c.value, str))
-            if "must be" in text or "must lie" in text:
-                offenders.append(f"{path.name}:{node.lineno}")
-    assert offenders == []
+def _raised(node):
+    """X at `raise X` or `raise X(...)`; None at any other node, a bare re-raise included."""
+    exc = node.exc if isinstance(node, ast.Raise) else None
+    target = exc.func if isinstance(exc, ast.Call) else exc
+    return target.id if isinstance(target, ast.Name) else None
 
 
-@pytest.mark.parametrize("error, phrase", [("DimensionMismatch", "has shape"),
-                                           ("NonFiniteInput", "NaN or infinite")])
-def test_array_rule_lives_in_the_game_helper(error, phrase):
-    """No `raise DimensionMismatch(...)` outside game.py whose message says
-    "has shape", and no `raise NonFiniteInput(...)` that says "NaN or
-    infinite": an array argument goes through `game._array`, which owns the
-    one message format."""
-    offenders = []
-    for path in sorted(Path(qregames.__file__).parent.glob("*.py")):
-        if path.name == "game.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-                    and isinstance(node.exc.func, ast.Name) and node.exc.func.id == error):
-                continue
-            text = "".join(c.value for arg in node.exc.args for c in ast.walk(arg)
-                           if isinstance(c, ast.Constant) and isinstance(c.value, str))
-            if phrase in text:
-                offenders.append(f"{path.name}:{node.lineno}")
-    assert offenders == []
+def _raise_says(error, *phrases):
+    """The offence `raise error(...)` with a message that holds one of phrases."""
+    def offence(node, module):
+        if _raised(node) != error or not isinstance(node.exc, ast.Call):
+            return False
+        text = "".join(c.value for arg in node.exc.args for c in ast.walk(arg)
+                       if isinstance(c, ast.Constant) and isinstance(c.value, str))
+        return any(phrase in text for phrase in phrases)
+    return offence
 
 
-def test_lapack_calls_live_in_the_game_helpers():
-    """No module but game.py names numpy's private `_umath_linalg`, and none
-    calls an `np.linalg` function: every LAPACK call goes through
-    `game._linear_solve`, `game._eigh` or `game._eigvalsh`, which raise the
-    library's typed errors."""
-    offenders = []
-    for path in sorted(Path(qregames.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                owner = node.func.value
-                if (isinstance(owner, ast.Attribute) and owner.attr == "linalg"
-                        and isinstance(owner.value, ast.Name) and owner.value.id == "np"):
-                    offenders.append(f"{path.name}:{node.lineno}: np.linalg.{node.func.attr}")
-            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
-                     else [node.attr] if isinstance(node, ast.Attribute) else [])
-            if "_umath_linalg" in names and path.name != "game.py":
-                offenders.append(f"{path.name}:{node.lineno}: _umath_linalg")
-    assert offenders == []
+def _calls_lapack(node, module):
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and ast.unparse(node.func.value) == "np.linalg"):
+        return True
+    names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+             else [node.attr] if isinstance(node, ast.Attribute) else [])
+    return "_umath_linalg" in names and module != "game.py"
 
 
-def test_softmax_calls_live_in_the_solver():
-    """No module but solver.py calls `blockwise_softmax`: every other response
-    goes through `solver._response`, which holds the one overflow rule."""
-    offenders = []
-    for path in sorted(Path(qregames.__file__).parent.glob("*.py")):
-        if path.name == "solver.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "blockwise_softmax":
-                    offenders.append(f"{path.name}:{node.lineno}")
+def _calls_softmax(node, module):
+    func = node.func if isinstance(node, ast.Call) else None
+    return getattr(func, "id", getattr(func, "attr", None)) == "blockwise_softmax"
+
+
+# (exempt module or None, offence(node, module), id): which module owns each rule.
+LAYERING_RULES = [
+    # a builtin exception reaches the CLI as exit 1 `error:Internal`; a bare
+    # re-raise (such as load_game's FileNotFoundError) passes
+    pytest.param(None, lambda node, module: _raised(node) in BUILTIN_ERRORS, id="builtin-raise"),
+    # `game._whole`, `game._real` and `game._array` own the one message format
+    # of a range rule, of a wrong shape and of a non-finite entry
+    pytest.param("game.py", _raise_says("InvalidInput", "must be", "must lie"), id="range-rule"),
+    pytest.param("game.py", _raise_says("DimensionMismatch", "has shape"), id="shape-rule"),
+    pytest.param("game.py", _raise_says("NonFiniteInput", "NaN or infinite"), id="finite-rule"),
+    # no np.linalg call, and numpy's private `_umath_linalg` in game.py alone:
+    # `_linear_solve`, `_eigh` and `_eigvalsh` raise the library's typed errors
+    pytest.param(None, _calls_lapack, id="lapack"),
+    # every other response goes through `solver._response`, the one overflow rule
+    pytest.param("solver.py", _calls_softmax, id="softmax"),
+]
+
+
+@pytest.mark.parametrize("exempt, offence", LAYERING_RULES)
+def test_layering_rule(exempt, offence):
+    """No node of the library's source outside the exempt module is an offence."""
+    offenders = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+                 for path in sorted(Path(qregames.__file__).parent.glob("*.py"))
+                 if path.name != exempt
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if offence(node, path.name)]
     assert offenders == []
 
 
