@@ -284,7 +284,7 @@ def _build_parser() -> _Parser:
     def min_norm_flags(p):
         p.add_argument("--dykstra-tol", type=float, default=MinNormConfig.dykstra_tol,
                        help="stop when the min-norm dual's projected gradient is at most "
-                            "this; it bounds every margin's violation")
+                            "this absolute tolerance; it bounds every margin's violation")
         p.add_argument("--max-sweeps", type=int, default=MinNormConfig.max_sweeps,
                        help="cap on min-norm dual iterations")
 
@@ -306,7 +306,7 @@ def _build_parser() -> _Parser:
     def sweep_flags(p):
         p.add_argument("--plot", default=None, help="also write an SVG chart here")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallel sweep rows, capped by the row and core counts")
+                       help="parallel sweep rows, capped by the rows and the usable CPUs")
         common(p)
 
     p = sub.add_parser("solve", help="compute the equilibrium of a game JSON")

@@ -188,8 +188,9 @@ def _sweep(row, values: list, jobs: int, key: str) -> list[dict]:
     """row(v) for each value, in up to `jobs` worker processes, sorted by `key`."""
     jobs = _whole(jobs, "jobs", 1)
     # Under fork the pool starts all its processes at the first submit, so
-    # never ask for more than there are rows or cores.
-    workers = min(jobs, len(values), os.cpu_count() or 1)
+    # never ask for more than there are rows or CPUs this process may use.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(values), cpus or 1)
     if workers <= 1:
         rows = [row(v) for v in values]
     else:
@@ -207,7 +208,7 @@ def sweep_sdp_epsilon(
     """`sdp_row` per margin value, with the other fields from cfg, by epsilon.
 
     `jobs` > 1 runs the rows in worker processes, at most one per row and
-    one per core; the rows are the same as in-process.
+    one per CPU this process may use; the rows are the same as in-process.
     """
     base = cfg or MinNormConfig()
     # every margin is checked, by its config, before any row runs

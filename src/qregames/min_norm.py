@@ -144,28 +144,24 @@ def _dual_min_norm(
     -A* mu is a t^T, with t the target strategy and
     a = sum_k mu_k (e_alt_k - e_star_k); A C reads s = C t at the star and
     alternative rows.  With M the off-block sum (`_off_block_sum`) and q
-    from `_psd_factor`, the dual needs only
-        s = (q.t) q / 4 + (a o Mt - t o M(a o t)) / 2,
-        ||C||^2 = (||q||^2 / 4)^2 + ((a o a).Mt - (a o t).M(a o t)) / 2,
-    both O(m); C itself is formed once, on return.  The formulas hold for a
-    pure target only: t is a 0/1 vector, so t o t = t.
+    from `_psd_factor`, the dual needs only the O(m)
+        s = (q.t) q / 4 + (a o M(t o t) - t o M(a o t)) / 2,
+    for any t: by Moreau's decomposition ||C||^2 = <a t^T, C> = a.s, so
+    theta = mu.(beta - A C / 2).  C itself is formed once, on return.
     Returns (C, grad, iterations, converged); a margin's violation is
     -grad[k], bounded by the stopping test's projected-gradient norm.
     """
     t, star, alt, beta = margins
     m = dims.total
-    Mt = _off_block_sum(t, dims)
+    Mtt = _off_block_sum(t * t, dims)
 
     def evaluate(mu):
         a = np.bincount(alt, mu, m) - np.bincount(star, mu, m)
         q = _psd_factor(a, t)
-        at = a * t
-        M_at = _off_block_sum(at, dims)
-        s = 0.25 * float(q.dot(t)) * q + 0.5 * (a * Mt - t * M_at)
-        norm_sq = ((0.25 * float(q.dot(q))) ** 2
-                   + 0.5 * (float((a * a).dot(Mt)) - float(at.dot(M_at))))
-        grad = beta - (s[star] - s[alt])
-        return a, grad, 0.5 * norm_sq + float(beta.dot(mu))
+        s = 0.25 * float(q.dot(t)) * q + 0.5 * (a * Mtt - t * _off_block_sum(a * t, dims))
+        As = s[star] - s[alt]
+        # theta as mu.(beta - As / 2): mu.(grad + beta) / 2 overflows at margins near 1e308
+        return a, beta - As, float(mu.dot(beta - 0.5 * As))
 
     mu = np.zeros(len(beta))
     a, grad, theta = evaluate(mu)

@@ -29,7 +29,7 @@ from .game import (
 )
 
 # Armijo backtracking of the Gauss-Newton step: sufficient-decrease
-# constant, step shrink factor, and the trials before the smallest is taken.
+# constant, step shrink factor, and the trials before the solve gives up.
 ARMIJO_C = 1e-4
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 40
@@ -189,8 +189,9 @@ def solve_equilibrium(
     block, so it bounds the error of log x even in exponentially small
     entries.  Returns the last iterate.  The solve does not check the
     uniqueness certificate: it runs on any game with lam > 0, and the
-    outcome's `certified` checks it on first read.  On an uncertified game H
-    can turn singular; the solve then stops there, unconverged.
+    outcome's `certified` checks it on first read.  The solve stops
+    unconverged where H turns singular (an uncertified game can) or where no
+    line-search trial passes, as the bilevel loop and the min-norm dual do.
     """
     if cfg is None:
         cfg = _DEFAULT_CONFIG
@@ -221,8 +222,8 @@ def _solve_equilibrium(g: Game, cfg: SolverConfig, x0: np.ndarray | None) -> Sol
             break
 
         # Armijo backtracking on phi = 0.5 ||R||^2, whose slope along the
-        # Gauss-Newton step is R^T H s = -||R||^2; if no trial passes, take
-        # the last (smallest) one anyway so the iteration cannot stall.
+        # Gauss-Newton step is R^T H s = -||R||^2; if no trial passes, the
+        # solve ends unconverged at the current iterate.
         phi0 = 0.5 * Rsq
         slope = -Rsq
         alpha = 1.0
@@ -232,10 +233,12 @@ def _solve_equilibrium(g: Game, cfg: SolverConfig, x0: np.ndarray | None) -> Sol
             if 0.5 * Rsq_try <= phi0 + ARMIJO_C * alpha * slope:
                 break
             alpha *= BACKTRACK_FACTOR
+        else:
+            break
         y, x, c, R, Rsq = y_try, x_try, c_try, R_try, Rsq_try
     else:
         it = cfg.max_iters
-    # H singular or the iteration cap: c may not be finite, so the response checks it
+    # H singular, a failed search or the cap: c may not be finite, so the response checks it
     r = x - _response(c, lam, dims)
     rsq = float(r.dot(r))
     return SolveOutcome(x=x, residual_sq=rsq, iterations=it, converged=max(rsq, Rsq) <= tol,

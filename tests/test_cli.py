@@ -289,13 +289,15 @@ class TestExperimentCommand:
         assert main(["experiment"] + argv + ["--out", str(b), "--jobs", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("jobs, cores, workers", [
-        (5000, 8, 2),  # capped by the two rows
-        (5000, 1, None),  # one core: no pool
-        (5000, None, None),  # core count unknown: no pool
-        (1, 8, None),
+    @pytest.mark.parametrize("jobs, cores, usable, workers", [
+        (5000, 8, 8, 2),  # capped by the two rows
+        (5000, 1, 1, None),  # one core: no pool
+        (5000, None, None, None),  # no affinity call and core count unknown: no pool
+        (1, 8, 8, None),
+        (5000, 8, 1, None),  # eight cores, of which the process may use one: no pool
     ])
-    def test_jobs_capped_by_rows_and_cores(self, jobs, cores, workers, monkeypatch, tmp_path):
+    def test_jobs_capped_by_rows_and_cores(self, jobs, cores, usable, workers, monkeypatch,
+                                           tmp_path):
         started = []
 
         class SerialPool:  # records the pool size and starts no process
@@ -313,6 +315,11 @@ class TestExperimentCommand:
 
         monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+        if usable is None:
+            monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                                lambda pid: set(range(usable)), raising=False)
         out = tmp_path / "rows.csv"
         assert main(["experiment", "collision-sdp", "--eps-grid", "1,2", "--jobs", str(jobs),
                      "--out", str(out)]) == 0

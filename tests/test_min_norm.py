@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from qregames import (
 from qregames.experiments import DEFAULT_EPS_GRID, build_collision_game
 from qregames.min_norm import _dual_min_norm, _margin_structure, _project_rank_one
 
-from conftest import in_cone
+from conftest import in_cone, random_interior_strategy
 
 
 def two_action_game(b, lam=0.1):
@@ -204,6 +205,32 @@ class TestSolveMinNormDesign:
             C, grad, iterations, converged = _dual_min_norm(
                 game.dims, (x_star, star, alt, beta), 1e-8, 50)
         assert not converged and iterations == 0
+
+    @pytest.mark.parametrize("epsilon, tol, iterations", [
+        (0.5, 1e-300, 12),
+        (1e3, 1e-14, 7),
+        (1e50, 1e-8, 7),  # the round-off floor of the absolute tolerance lies above 1e-8
+    ])
+    def test_vanished_step_stops_unconverged(self, epsilon, tol, iterations):
+        # a tolerance below the round-off floor: the line search halves the step
+        # until mu + step d == mu, and the dual ends there, finite and silent
+        game, target = build_collision_game()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            C, grad, its, converged = _dual_min_norm(
+                game.dims, _margin_structure(game, target, epsilon), tol, 50_000)
+        assert not converged and its == iterations
+        assert np.isfinite(C).all() and np.isfinite(grad).all()
+
+    def test_gradient_reads_c_t_for_an_interior_t(self):
+        # the dual's s = C t holds for any weight vector t, not only a 0/1 one
+        game, target = build_collision_game()
+        _, star, alt, beta = _margin_structure(game, target, 3.0)
+        t = random_interior_strategy(np.random.default_rng(0), game.dims)
+        C, grad, iterations, _ = _dual_min_norm(game.dims, (t, star, alt, beta), 1e-8, 3)
+        s = C @ t
+        assert iterations == 3
+        assert np.abs(grad - (beta - (s[star] - s[alt]))).max() <= 1e-12
 
     @pytest.mark.parametrize("epsilon", [-1.0, float("nan"), float("inf")])
     def test_epsilon_must_be_finite_and_nonnegative(self, epsilon):

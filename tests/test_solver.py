@@ -320,6 +320,18 @@ class TestSolveEquilibrium:
         assert np.array_equal(out.x, [0.5, 0.5])
         assert out.residual_sq == pytest.approx(2 * (0.5 - 1.0 / (1.0 + np.exp(0.5))) ** 2)
 
+    def test_exhausted_line_search_stops_unconverged(self):
+        # at ||C|| = 1e5 the round-off floor of ||R||^2 lies above 1e-20: once
+        # no Armijo trial decreases it, the solve ends there, well before the
+        # iteration cap
+        g = random_certified_game(np.random.default_rng(0), [3, 3, 3, 3], lam=0.1)
+        g = g.with_matrix(g.C * (1e5 / np.linalg.norm(g.C)))
+        cfg = SolverConfig(residual_tol=1e-20)
+        out = solve_equilibrium(g, cfg)
+        assert not out.converged
+        assert out.iterations < cfg.max_iters
+        assert cfg.residual_tol < out.residual_sq < 1e-10
+
     def test_strongly_coupled_game_converges(self):
         # coupling/lambda ~ 130: Gauss-Newton on the strategy, clamped to the
         # simplex, stalls here at residual_sq 0.77
