@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteInput
 from .game import Game, PlayerDims, PureTarget, _array, _real, _whole, pure_to_strategy
 from .objectives import kl_objective
 from .projections import _norm, _project_rank_one, _psd_factor
@@ -83,7 +84,8 @@ def build_margin_constraints(
     [b + C x*] at row (i, k), and C x* picks one column of C per player (the
     chosen one).  The constraint "chosen + epsilon <= alternative" therefore
     has normal +1 on (chosen row, chosen columns) and -1 on (alternative
-    row, chosen columns), with beta = b[alt] - b[chosen] - epsilon.
+    row, chosen columns), with beta = b[alt] - b[chosen] - epsilon, which
+    must be finite (else NonFiniteInput).
     """
     dims = g.dims
     m = dims.total
@@ -116,12 +118,16 @@ def _margin_structure(
     Returns (target, star, alt, beta): the target strategy x*, and per
     constraint the chosen row, the alternative row and the bound.
     Constraint k reads s[star[k]] - s[alt[k]] <= beta[k] with s = C x*.
+    A bound that leaves double range raises NonFiniteInput.
     """
     dims = g.dims
     target = pure_to_strategy(t, dims)  # raises IndexOutOfRange on a bad target
     star = np.repeat(np.flatnonzero(target), [s - 1 for s in dims.sizes])
     alt = np.flatnonzero(target == 0.0)
-    beta = g.b[alt] - g.b[star] - epsilon
+    with np.errstate(over="ignore"):  # an infinite bound is rejected below
+        beta = g.b[alt] - g.b[star] - epsilon
+    if not np.isfinite(beta).all():
+        raise NonFiniteInput("margin bound b[alt] - b[star] - epsilon leaves double range")
     return target, star, alt, beta
 
 

@@ -105,7 +105,9 @@ def logit_response(g: Game, x: np.ndarray) -> np.ndarray:
     contains NaN or infinity; x is checked before the product C x.
     """
     x = _array(x, (g.dims.total,), "strategy")
-    return _response(perceived_cost(g, x), g.lam, g.dims)
+    with np.errstate(over="ignore"):  # a cost that overflows is rejected by _response
+        cost = perceived_cost(g, x)
+    return _response(cost, g.lam, g.dims)
 
 
 def _response(cost: np.ndarray, lam: float, dims) -> np.ndarray:
@@ -197,7 +199,10 @@ def solve_equilibrium(
         cfg = _DEFAULT_CONFIG
     if x0 is not None:
         x0 = _array(x0, (g.dims.total,), "x0")
-    return _solve_equilibrium(g, cfg, x0)
+    # an overflow ends as the start check's error, a trial's non-finite ||R||^2
+    # that the line search rejects, or the checked response of the unconverged tail
+    with np.errstate(over="ignore"):
+        return _solve_equilibrium(g, cfg, x0)
 
 
 def _solve_equilibrium(g: Game, cfg: SolverConfig, x0: np.ndarray | None) -> SolveOutcome:

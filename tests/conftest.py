@@ -9,12 +9,24 @@ from qregames import (
     Game,
     PlayerDims,
     implicit_gradient,
+    kl_objective,
     logit_response,
+    potential_delay_objective,
     project_feasible,
+    pure_to_strategy,
+    run_projected_gradient,
     solve_equilibrium,
     uniform_strategy,
 )
 from qregames.bilevel import ARMIJO_SIGMA, HALVING, MAX_HALVINGS
+from qregames.experiments import DEFAULT_RHO_GRID, build_collision_game, build_fair_game
+
+
+def make_game(sizes=(3, 3), lam: float = 0.1, b=None, C=None) -> Game:
+    """A Game with block sizes `sizes`, and b and C zero unless given."""
+    dims = PlayerDims(sizes)
+    m = dims.total
+    return Game(dims, lam, np.zeros(m) if b is None else b, np.zeros((m, m)) if C is None else C)
 
 
 def random_certified_game(
@@ -146,6 +158,27 @@ def sample_feasible_matrices(
     norms = np.linalg.norm(out, axis=(1, 2))
     scale = rng.random(count) * rho / np.maximum(norms, 1e-12)
     return out * scale[:, None, None]
+
+
+def collision_kl():
+    """The collision game and the KL objective of its target, as smoothed by default."""
+    game, target = build_collision_game()
+    return game, kl_objective(pure_to_strategy(target, game.dims), game.dims)
+
+
+def fair_delay():
+    game = build_fair_game()
+    return game, potential_delay_objective(game.dims)
+
+
+@pytest.fixture(scope="session")
+def paper_rows():
+    """run_projected_gradient with the default config at each radius of
+    DEFAULT_RHO_GRID, keyed by (experiment, rho): the runs behind the rows of
+    `experiment collision-bilevel` and `experiment fair`."""
+    return {(name, rho): run_projected_gradient(*problem(), rho)
+            for name, problem in (("collision-bilevel", collision_kl), ("fair", fair_delay))
+            for rho in DEFAULT_RHO_GRID}
 
 
 @pytest.fixture

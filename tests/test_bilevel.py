@@ -8,7 +8,6 @@ import qregames.bilevel
 from qregames import (
     BilevelConfig,
     DecompositionFailure,
-    DimensionMismatch,
     Game,
     InnerSolveFailure,
     InvalidInput,
@@ -30,13 +29,14 @@ from qregames import (
 )
 from qregames.experiments import (
     AREA_NAMES,
-    DEFAULT_RHO_GRID,
     FAIR_HOMES,
     build_collision_game,
     build_fair_game,
 )
 
 from conftest import (
+    collision_kl,
+    fair_delay,
     random_certified_game,
     random_interior_strategy,
     reference_projected_gradient,
@@ -116,26 +116,6 @@ class TestImplicitGradient:
             expected = (-1.0 / g.lam) * np.outer(w, x)
             assert np.array_equal(implicit_gradient(g, x, v), expected)
 
-    def test_rejects_wrong_gradient_length(self, rng):
-        g = random_certified_game(rng, [2, 2])
-        out = solve_equilibrium(g)
-        with pytest.raises(DimensionMismatch):
-            implicit_gradient(g, out.x, np.zeros(3))
-
-    def test_rejects_wrong_strategy_length(self, rng):
-        g = random_certified_game(rng, [2, 2])
-        with pytest.raises(DimensionMismatch):
-            implicit_gradient(g, np.full(3, 0.5), np.zeros(4))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("where", ["strategy", "gradient"])
-    def test_rejects_non_finite_input(self, rng, bad, where):
-        g = random_certified_game(rng, [2, 2])
-        x, v = solve_equilibrium(g).x, np.ones(4)
-        (x if where == "strategy" else v)[1] = bad
-        with pytest.raises(NonFiniteInput):
-            implicit_gradient(g, x, v)
-
     def test_singular_inner_matrix_raises(self):
         # uncertified (C + C^T = -4I): at x = (1/2, 1/2) the softmax Jacobian
         # is [[1, -1], [-1, 1]]/4, so I + J_u C = [[1, 1], [1, 1]]/2 exactly
@@ -179,16 +159,6 @@ class TestInnerSolveRetry:
         with pytest.raises(InnerSolveFailure):
             run_projected_gradient(self.game, self.obj, rho=4.0)
         assert warm_flags == expected_flags
-
-
-def collision_kl():
-    game, target = build_collision_game()
-    return game, kl_objective(pure_to_strategy(target, game.dims), game.dims)
-
-
-def fair_delay():
-    game = build_fair_game()
-    return game, potential_delay_objective(game.dims)
 
 
 class TestOuterStepWork:
@@ -409,23 +379,6 @@ class TestRunProjectedGradient:
         out = solve_equilibrium(game)
         for i, home in enumerate(FAIR_HOMES):
             assert out.x[game.dims.block(i)][AREA_NAMES.index(home)] >= 0.99
-
-
-@pytest.fixture(scope="module")
-def paper_rows():
-    """Both scenarios' projected-gradient runs over the default radius grid."""
-    collision, target = build_collision_game()
-    fair = build_fair_game()
-    cases = [
-        ("collision", collision, kl_objective(pure_to_strategy(target, collision.dims),
-                                              collision.dims, smoothing_delta=1e-3)),
-        ("fair", fair, potential_delay_objective(fair.dims)),
-    ]
-    return {
-        (name, rho): run_projected_gradient(game, obj, rho)
-        for name, game, obj in cases
-        for rho in DEFAULT_RHO_GRID
-    }
 
 
 class TestArmijoLineSearch:

@@ -328,13 +328,6 @@ class TestExperimentCommand:
 
 
 class TestDeterminismAndErrors:
-    def test_identical_invocations_byte_identical(self, collision_path, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        for path in (a, b):
-            assert main(["solve", "--game", collision_path, "--seed", "5",
-                         "--out", str(path)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     @pytest.mark.parametrize("argv", [
         ["solve", "--game", "GAME"],
         ["experiment", "collision-sdp", "--eps-grid", "1"],
@@ -551,6 +544,7 @@ EDGE_GAMES = {
     "COUPLING_0.1": _coupling_game(0.1),
     "COUPLING_10": _coupling_game(10.0),
     "FULL_1E308": {"lambda": 10.0, "dims": [2, 2], "b": [0.0] * 4, "C": [[1e308] * 4] * 4},
+    "SPREAD_B": {"lambda": 10.0, "dims": [2], "b": [-1e308, 1e308], "C": [[0.0] * 2] * 2},
 }
 
 BILEVEL_KL = ["--objective", "kl", "--target", "3,3,3,3", "--rho", "1"]
@@ -581,12 +575,17 @@ class TestEdgeOfDoubleRange:
         (["design-bilevel", "--game", "COUPLING_10", *POTENTIAL_DELAY], 3, None),
         (["check", "--game", "HUGE_INT"], 2, "InvalidInput"),
         (["design-bilevel", "--game", "FULL_1E308", *POTENTIAL_DELAY], 0, None),
+        (["solve", "--game", "FULL_1E308"], 2, "NonFiniteInput"),
+        (["design-sdp", "--game", "SPREAD_B", "--target", "1"], 2, "NonFiniteInput"),
+        (["design-sdp", "--game", "SPREAD_B", "--target", "2"], 2, "NonFiniteInput"),
     ], ids=["check-C-1e308", "solve-lambda-1e-320", "solve-lambda-5e-324",
             "design-sdp-epsilon-1e30", "design-sdp-epsilon-1e308",
             "design-bilevel-kl-lambda-1e-5", "design-bilevel-fair-lambda-1e-5",
             "check-coupling-lambda-0.1", "check-coupling-lambda-10",
             "design-bilevel-coupling-lambda-0.1", "design-bilevel-coupling-lambda-10",
-            "check-integer-beyond-float", "design-bilevel-cone-projection-beyond-double"])
+            "check-integer-beyond-float", "design-bilevel-cone-projection-beyond-double",
+            "solve-starting-cost-beyond-double", "design-sdp-margin-beyond-double-target-1",
+            "design-sdp-margin-beyond-double-target-2"])
     def test_ends_typed_without_warnings(self, argv, code, kind, collision_path, fair_path,
                                          tmp_path):
         paths = {"COLLISION": collision_path, "FAIR": fair_path}

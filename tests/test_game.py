@@ -24,29 +24,12 @@ from qregames import (
     validate_game,
 )
 
-
-def make_game(sizes=(3, 3), lam=0.1, b=None, C=None):
-    dims = PlayerDims(sizes)
-    m = dims.total
-    return Game(
-        dims,
-        lam,
-        np.zeros(m) if b is None else b,
-        np.zeros((m, m)) if C is None else C,
-    )
+from conftest import make_game
 
 
 class TestValidateGame:
     def test_consistent_game_passes(self):
         validate_game(make_game())
-
-    def test_wrong_b_length(self):
-        with pytest.raises(DimensionMismatch):
-            Game(PlayerDims([3, 3]), 0.1, np.zeros(5), np.zeros((6, 6)))
-
-    def test_wrong_c_shape(self):
-        with pytest.raises(DimensionMismatch):
-            Game(PlayerDims([3, 3]), 0.1, np.zeros(6), np.zeros((6, 5)))
 
     def test_zero_lambda(self):
         with pytest.raises(NonPositiveLambda):
@@ -76,14 +59,6 @@ class TestConstructorsReject:
     def test_lambda_out_of_range(self, lam):
         with pytest.raises(NonPositiveLambda):
             make_game(lam=lam)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("where", ["b", "C"])
-    def test_non_finite_cost_data(self, bad, where):
-        b, C = np.zeros(4), np.zeros((4, 4))
-        (b if where == "b" else C)[1] = bad
-        with pytest.raises(NonFiniteInput):
-            make_game(sizes=(2, 2), b=b, C=C)
 
     def test_lambda_too_small_for_the_costs(self):
         # (max|b| + n max|C|)/lambda = 2e308/lambda: finite at 10, not at 0.1
@@ -285,20 +260,6 @@ class TestWithMatrix:
             assert not arr.flags.writeable
         copy = pickle.loads(pickle.dumps(h))
         assert np.array_equal(copy.C, expected) and not copy.C.flags.writeable
-
-    @pytest.mark.parametrize("shape", [(6, 6), (7, 6), (49,)])
-    def test_wrong_shape_raises(self, shape):
-        with pytest.raises(DimensionMismatch):
-            make_game(sizes=(1, 4, 2)).with_matrix(np.zeros(shape))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_matrix_raises(self, bad):
-        C = np.zeros((7, 7))
-        C[3, 5] = bad
-        with pytest.raises(NonFiniteInput):
-            make_game(sizes=(1, 4, 2)).with_matrix(C)
-        with pytest.raises(NonFiniteInput):
-            make_game(sizes=(1, 4, 2)).with_matrix(np.full((7, 7), bad))
 
 
 class TestGameJson:

@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 from qregames import (
-    DimensionMismatch,
     Game,
-    NonFiniteInput,
     PlayerDims,
     check_assumption,
     in_feasible_set,
@@ -24,7 +22,8 @@ def textbook_cone_sum(C, dims):
     """The cone projection as written out: eigenvalues clamped, blocks zeroed."""
     w, V = np.linalg.eigh(0.5 * (C + C.T))
     skew = 0.5 * (C - C.T)
-    skew[dims.owner[:, None] == dims.owner[None, :]] = 0.0
+    for i in range(dims.n):
+        skew[dims.block(i), dims.block(i)] = 0.0
     return (V * np.maximum(w, 0.0)) @ V.T + skew
 
 
@@ -88,31 +87,6 @@ class TestHalvesAndNorm:
         assert in_feasible_set(F, dims, 1.0)
 
 
-@pytest.mark.parametrize("project", [
-    project_cone_sum,
-    lambda C, dims: project_feasible(C, dims, 1.0),
-    lambda C, dims: in_feasible_set(C, dims, 1.0),
-], ids=["project_cone_sum", "project_feasible", "in_feasible_set"])
-@pytest.mark.parametrize("C", [np.zeros((3, 3)), np.zeros((4, 3)), np.zeros(4), np.zeros(16)],
-                         ids=["3x3", "4x3", "1-D", "flat-16"])
-def test_matrix_that_does_not_fit_the_game_raises(project, C):
-    with pytest.raises(DimensionMismatch):
-        project(C, PlayerDims([2, 2]))
-
-
-@pytest.mark.parametrize("project", [
-    project_cone_sum,
-    lambda C, dims: project_feasible(C, dims, 1.0),
-    lambda C, dims: in_feasible_set(C, dims, 1.0),
-], ids=["project_cone_sum", "project_feasible", "in_feasible_set"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-def test_non_finite_matrix_raises(project, bad):
-    C = np.eye(4)
-    C[1, 2] = bad
-    with pytest.raises(NonFiniteInput):
-        project(C, PlayerDims([2, 2]))
-
-
 class TestProjectConeSum:
     def test_member_unchanged(self, rng):
         dims = PlayerDims([2, 2])
@@ -140,37 +114,22 @@ class TestProjectConeSum:
             inner = np.einsum("ij,bij->b", C - P, Y - P)
             assert inner.max() <= 1e-8
 
-    def test_matches_per_block_zeroing(self, rng):
-        dims = PlayerDims([1, 4, 2, 7])
-        C = rng.normal(size=(dims.total, dims.total))
-        w, V = np.linalg.eigh(0.5 * (C + C.T))
-        skew = 0.5 * (C - C.T)
-        for i in range(dims.n):
-            skew[dims.block(i), dims.block(i)] = 0.0
-        assert np.array_equal(project_cone_sum(C, dims), (V * np.maximum(w, 0.0)) @ V.T + skew)
-
-    def test_in_place_matches_textbook_bit_for_bit(self, rng):
-        dims = PlayerDims([1, 4, 2, 7])
-        for _ in range(10):
-            C = rng.normal(size=(dims.total, dims.total))
-            before = C.copy()
-            assert np.array_equal(project_cone_sum(C, dims), textbook_cone_sum(C, dims))
-            assert np.array_equal(C, before)
-
     @pytest.mark.parametrize("sizes", [[1, 4, 2, 7], [1], [3, 3, 3, 3]])
     @pytest.mark.parametrize("kind", ["random", "negative-definite", "pure-skew", "zero"])
     def test_one_pass_skew_matches_textbook_with_zero_signs(self, rng, sizes, kind):
         # the skew part is (C - C^T) times 0.5 or 0, not zeroed through a mask;
-        # the values and the sign of every zero must not change
+        # the values and the sign of every zero must not change, nor the input
         dims = PlayerDims(sizes)
         m = dims.total
         for _ in range(10):
             A = rng.normal(size=(m, m))
             C = {"random": A, "negative-definite": -(A @ A.T) - np.eye(m),
                  "pure-skew": A - A.T, "zero": np.zeros((m, m))}[kind]
+            before = C.copy()
             P, expected = project_cone_sum(C, dims), textbook_cone_sum(C, dims)
             assert np.array_equal(P, expected)
             assert np.array_equal(np.signbit(P), np.signbit(expected))
+            assert np.array_equal(C, before)
 
     def test_idempotent(self, rng):
         dims = PlayerDims([3, 2])

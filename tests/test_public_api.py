@@ -179,10 +179,23 @@ def _extra_axis(v):
     return np.asarray(v, dtype=float)[None]
 
 
-def _with_nan(v):
-    v = np.array(v, dtype=float)
-    v.flat[0] = np.nan
-    return v
+def _empty(v):
+    return np.asarray(v, dtype=float)[..., :0]
+
+
+def _with(first, last=None):
+    """The transform that sets v's first entry, and its last when given."""
+    def bad(v):
+        v = np.array(v, dtype=float)
+        v.flat[0] = first
+        if last is not None:
+            v.flat[-1] = last
+        return v
+    return bad
+
+
+_with_nan, _with_inf, _with_neg_inf = _with(np.nan), _with(np.inf), _with(-np.inf)
+_nan_beside_zero = _with(0.0, np.nan)  # a NaN is reported before a zero fails positivity
 
 
 def _non_numeric(v):
@@ -224,16 +237,22 @@ ARRAY_ARGUMENTS = [
 
 
 @pytest.mark.parametrize("bad, error", [(_extra_axis, qregames.DimensionMismatch),
+                                        (_empty, qregames.DimensionMismatch),
                                         (_with_nan, qregames.NonFiniteInput),
+                                        (_with_inf, qregames.NonFiniteInput),
+                                        (_with_neg_inf, qregames.NonFiniteInput),
+                                        (_nan_beside_zero, qregames.NonFiniteInput),
                                         (_non_numeric, qregames.InvalidInput),
                                         (_complex, qregames.InvalidInput)],
-                         ids=["shape", "nan", "non-numeric", "complex"])
+                         ids=["shape", "empty", "nan", "inf", "-inf", "nan-beside-zero",
+                              "non-numeric", "complex"])
 @pytest.mark.parametrize("call", [c for _, c in ARRAY_ARGUMENTS],
                          ids=[name for name, _ in ARRAY_ARGUMENTS])
 def test_rejected_array_argument(call, bad, error):
     """Every vector and matrix argument is read through one rule: entries
     that are not real numbers are InvalidInput, a wrong shape is
-    DimensionMismatch and a NaN entry NonFiniteInput."""
+    DimensionMismatch and a NaN or infinite entry NonFiniteInput, also
+    where a zero entry would fail a positivity rule."""
     with pytest.raises(error):
         call(bad)
 
