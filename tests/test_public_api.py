@@ -183,6 +183,15 @@ def _empty(v):
     return np.asarray(v, dtype=float)[..., :0]
 
 
+def _one_short(v):
+    return np.asarray(v, dtype=float)[..., :-1]
+
+
+def _one_long(v):
+    v = np.asarray(v, dtype=float)
+    return np.concatenate([v, v[..., :1]], axis=-1)
+
+
 def _with(first, last=None):
     """The transform that sets v's first entry, and its last when given."""
     def bad(v):
@@ -254,6 +263,22 @@ def test_rejected_array_argument(call, bad, error):
     DimensionMismatch and a NaN or infinite entry NonFiniteInput, also
     where a zero entry would fail a positivity rule."""
     with pytest.raises(error):
+        call(bad)
+
+
+# simulate_gumbel_choice takes a cost vector of any non-empty length
+FIXED_LENGTH = [(name, call) for name, call in ARRAY_ARGUMENTS
+                if name != "simulate_gumbel_choice"]
+
+
+@pytest.mark.parametrize("bad", [_one_short, _one_long], ids=["one-short", "one-long"])
+@pytest.mark.parametrize("call", [c for _, c in FIXED_LENGTH],
+                         ids=[name for name, _ in FIXED_LENGTH])
+def test_array_argument_of_the_wrong_length(call, bad):
+    """One entry short or long on the last axis, with the right number of axes,
+    does not fit the game either: the rule compares the whole shape, not only
+    the number of axes or emptiness."""
+    with pytest.raises(qregames.DimensionMismatch):
         call(bad)
 
 
